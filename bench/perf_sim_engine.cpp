@@ -20,6 +20,14 @@ std::vector<sim::StreamConfig> make_streams(i64 ports, i64 m) {
   return streams;
 }
 
+/// Deterministic work counter next to the wall time: ports step() visited
+/// per simulated cycle (the live ports, whatever m or the retired count).
+void count_visits(benchmark::State& state, const sim::MemorySystem& mem, i64 visited_before) {
+  state.counters["ports_visited_per_cycle"] =
+      static_cast<double>(mem.ports_visited() - visited_before) /
+      static_cast<double>(state.iterations());
+}
+
 void bm_step(benchmark::State& state) {
   const i64 ports = state.range(0);
   const i64 m = state.range(1);
@@ -29,8 +37,39 @@ void bm_step(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * ports);
   state.counters["cycles_per_second"] =
       benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+  count_visits(state, mem, 0);
 }
-BENCHMARK(bm_step)->Args({1, 16})->Args({2, 16})->Args({6, 16})->Args({6, 64})->Args({16, 256});
+// 16/4096: the cost of a step must not grow with m (no per-cycle O(m)
+// claim reset).
+BENCHMARK(bm_step)
+    ->Args({1, 16})
+    ->Args({2, 16})
+    ->Args({6, 16})
+    ->Args({6, 64})
+    ->Args({16, 256})
+    ->Args({16, 4096});
+
+// 6 live ports behind 250 retired ones (the shape an X-MP kernel leaves
+// behind): must cost about what bm_step/6/16 costs, since step() visits
+// only live ports.
+void bm_step_retired(benchmark::State& state) {
+  const i64 m = 16;
+  std::vector<sim::StreamConfig> streams;
+  for (i64 p = 0; p < 250; ++p) {
+    streams.push_back(sim::StreamConfig{.start_bank = p % m, .cpu = p % 2, .length = 1});
+  }
+  const std::vector<sim::StreamConfig> live = make_streams(6, m);
+  streams.insert(streams.end(), live.begin(), live.end());
+  sim::MemorySystem mem{{.banks = m, .sections = m / 4, .bank_cycle = 4}, streams};
+  while (mem.live_port_count() > live.size()) mem.step();
+  const i64 visited = mem.ports_visited();
+  for (auto _ : state) mem.step();
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 6);
+  state.counters["cycles_per_second"] =
+      benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+  count_visits(state, mem, visited);
+}
+BENCHMARK(bm_step_retired);
 
 // The same workloads with the full tracing v2 stack attached (bounded
 // event buffer + attribution fold on one hook).  Comparing
@@ -69,6 +108,27 @@ void bm_triad_n1024(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_triad_n1024);
+
+// The X-MP triad at n=4096 against the other CPU: 259 strip instructions
+// issue over the run, at most 7 ports are live at once.
+void bm_kernel_triad_n4096(benchmark::State& state) {
+  xmp::XmpConfig machine;
+  xmp::TriadSetup setup;
+  setup.n = 4096;
+  setup.inc = 2;
+  i64 cycles = 0;
+  for (auto _ : state) {
+    const xmp::TriadResult r =
+        xmp::run_kernel(machine, xmp::triad_kernel(), setup, /*other_cpu_active=*/true);
+    cycles = r.cycles;
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["simulated_cycles"] = static_cast<double>(cycles);
+  state.counters["ns_per_cycle"] = benchmark::Counter(
+      static_cast<double>(cycles) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(bm_kernel_triad_n4096);
 
 void bm_offset_sweep(benchmark::State& state) {
   const sim::MemoryConfig cfg{.banks = 16, .sections = 16, .bank_cycle = 4};

@@ -84,11 +84,13 @@
 // were quarantined).  With --json, errors still write a vpmem.cli/1
 // envelope whose "error" member carries {code, message}.
 #include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -169,7 +171,37 @@ struct Args {
   std::string d1_range;     // --d1: inclusive "A:B" stride range
   std::string d2_range;     // --d2: inclusive "A:B" stride range
   i64 throttle_ms = 0;      // --throttle-ms: pace each sweep job (tests)
+  std::string bad_value;    // first malformed or out-of-range number
 };
+
+/// Strict integer parsing: the whole token must be a base-10 integer
+/// within [lo, hi] (no trailing junk, no silent 0 for "abc", no wrap).
+/// Records the first violation in args.bad_value and leaves `out` as is;
+/// main() then rejects the run as config_invalid.
+template <typename Int>
+void parse_int(Args& args, const std::string& what, const char* text, i64 lo, i64 hi,
+               Int& out) {
+  const std::string token = text;
+  i64 value = 0;
+  std::size_t used = 0;
+  bool ok = !token.empty() && std::isspace(static_cast<unsigned char>(token[0])) == 0;
+  try {
+    if (ok) value = std::stoll(token, &used, 10);
+  } catch (const std::exception&) {  // not a number, or beyond i64
+    ok = false;
+  }
+  ok = ok && used == token.size() && value >= lo && value <= hi;
+  if (!ok) {
+    if (args.bad_value.empty()) {
+      args.bad_value = what + ": expected an integer in [" + std::to_string(lo) + ", " +
+                       std::to_string(hi) + "], got '" + token + "'";
+    }
+    return;
+  }
+  out = static_cast<Int>(value);
+}
+
+constexpr i64 kMaxI64 = std::numeric_limits<i64>::max();
 
 bool parse(int argc, char** argv, Args& args) {
   for (int i = 2; i < argc; ++i) {
@@ -184,13 +216,13 @@ bool parse(int argc, char** argv, Args& args) {
       args.consecutive = true;
     } else if (a == "--sections") {
       if (++i >= argc) return false;
-      args.sections = std::atoll(argv[i]);
+      parse_int(args, "--sections", argv[i], 0, kMaxI64, args.sections);
     } else if (a == "--length") {
       if (++i >= argc) return false;
-      args.length = std::atoll(argv[i]);
+      parse_int(args, "--length", argv[i], 0, kMaxI64, args.length);
     } else if (a == "--cycles") {
       if (++i >= argc) return false;
-      args.cycles = std::atoll(argv[i]);
+      parse_int(args, "--cycles", argv[i], 0, kMaxI64, args.cycles);
     } else if (a == "--json") {
       if (++i >= argc) return false;
       args.json_path = argv[i];
@@ -199,14 +231,24 @@ bool parse(int argc, char** argv, Args& args) {
       args.out = argv[i];
     } else if (a == "--window") {
       if (++i >= argc) return false;
-      args.window = std::atoll(argv[i]);
+      parse_int(args, "--window", argv[i], 0, kMaxI64, args.window);
     } else if (a == "--attribution") {
       args.no_attribution = false;  // the default; accepted for symmetry
     } else if (a == "--no-attribution") {
       args.no_attribution = true;
     } else if (a == "--seed") {
       if (++i >= argc) return false;
-      args.seed = std::strtoull(argv[i], nullptr, 0);
+      const std::string token = argv[i];
+      char* end = nullptr;
+      errno = 0;
+      args.seed = std::strtoull(token.c_str(), &end, 0);
+      const bool signed_or_padded = token.empty() || token[0] == '-' ||
+                                    std::isspace(static_cast<unsigned char>(token[0])) != 0;
+      if (signed_or_padded || end != token.c_str() + token.size() || errno == ERANGE) {
+        if (args.bad_value.empty()) {
+          args.bad_value = "--seed: expected an unsigned 64-bit integer, got '" + token + "'";
+        }
+      }
       args.seed_given = true;
     } else if (a == "--fault") {
       if (++i >= argc) return false;
@@ -229,10 +271,10 @@ bool parse(int argc, char** argv, Args& args) {
       args.policy = argv[i];
     } else if (a == "--max-cycles") {
       if (++i >= argc) return false;
-      args.max_cycles = std::atoll(argv[i]);
+      parse_int(args, "--max-cycles", argv[i], 0, kMaxI64, args.max_cycles);
     } else if (a == "--jobs") {
       if (++i >= argc) return false;
-      args.jobs = static_cast<int>(std::atoll(argv[i]));
+      parse_int(args, "--jobs", argv[i], 1, 1024, args.jobs);
     } else if (a == "--journal") {
       if (++i >= argc) return false;
       args.journal = argv[i];
@@ -242,7 +284,7 @@ bool parse(int argc, char** argv, Args& args) {
       args.sandbox = true;
     } else if (a == "--retries") {
       if (++i >= argc) return false;
-      args.retries = std::atoll(argv[i]);
+      parse_int(args, "--retries", argv[i], 0, 1000, args.retries);
     } else if (a == "--test-crash") {
       if (++i >= argc) return false;
       args.test_crash = argv[i];
@@ -254,9 +296,12 @@ bool parse(int argc, char** argv, Args& args) {
       args.d2_range = argv[i];
     } else if (a == "--throttle-ms") {
       if (++i >= argc) return false;
-      args.throttle_ms = std::atoll(argv[i]);
+      parse_int(args, "--throttle-ms", argv[i], 0, 3'600'000, args.throttle_ms);
     } else if (!a.empty() && (std::isdigit(static_cast<unsigned char>(a[0])) != 0)) {
-      args.positional.push_back(std::atoll(a.c_str()));
+      i64 value = 0;
+      parse_int(args, "argument " + std::to_string(args.positional.size() + 1), a.c_str(), 0,
+                kMaxI64, value);
+      args.positional.push_back(value);
     } else if (!a.empty() && a[0] != '-' && args.word.empty()) {
       args.word = a;
     } else {
@@ -1094,6 +1139,12 @@ int main(int argc, char** argv) {
   Args args;
   if (!parse(argc, argv, args)) return usage();
   const std::string cmd = argv[1];
+  if (!args.bad_value.empty()) {
+    const std::string code = to_string(vpmem::ErrorCode::config_invalid);
+    std::cerr << "error (" << code << "): " << args.bad_value << '\n';
+    write_error_json(args, cmd, code, args.bad_value);
+    return exit_code_of(vpmem::ErrorCode::config_invalid);
+  }
   try {
     if (cmd == "single") return cmd_single(args);
     if (cmd == "pair") return cmd_pair(args);

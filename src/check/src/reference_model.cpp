@@ -104,8 +104,8 @@ i64 ReferenceModel::ref_effective_bank(std::size_t idx, i64 t) const {
   }
   const i64 alive = static_cast<i64>(surviving.size());
   if (alive == config_.banks || alive == 0) return raw;
-  const i64 slot = s.has_pattern() ? mod_norm(raw, alive)
-                                   : mod_norm(s.start_bank + issued_[idx] * s.distance, alive);
+  // (start + k*d) mod m' for affine streams; the pattern entry mod m'.
+  const i64 slot = mod_norm(s.bank_of(issued_[idx], alive), alive);
   return surviving[static_cast<std::size_t>(slot)];
 }
 

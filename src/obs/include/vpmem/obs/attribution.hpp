@@ -15,10 +15,12 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "vpmem/sim/config.hpp"
 #include "vpmem/sim/event.hpp"
+#include "vpmem/sim/event_buffer.hpp"
 #include "vpmem/util/json.hpp"
 
 namespace vpmem::obs {
@@ -78,6 +80,10 @@ class ConflictAttribution {
   /// Fold one event.  Events must arrive in non-decreasing cycle order.
   void observe(const sim::Event& e);
 
+  /// Fold a batch of recorded events, in order (an EventBuffer chunk
+  /// sink): the same fold as observe(Event) per element.
+  void observe(std::span<const sim::PackedEvent> events);
+
   /// Close open episodes and the final (possibly partial) b_eff window.
   /// `end_cycle` is the exclusive end of the observed window.  Idempotent
   /// in the sense that observe() must not be called afterwards.
@@ -128,8 +134,7 @@ class ConflictAttribution {
     // Open-episode state.
     bool episode_open = false;
     BarrierEpisode open;
-    /// open.kinds folded kind-indexed (no switch on the hot path);
-    /// close_episode() copies it into open.kinds.
+    /// open.kinds folded kind-indexed (no switch on the hot path).
     std::array<i64, sim::kConflictKinds> open_kinds{};
     /// Per-bank "already in the open episode" flags — keeps the banks list
     /// deduplicated in O(1) per conflict (sorted only on close).
@@ -137,13 +142,31 @@ class ConflictAttribution {
   };
 
   PortFold& fold_for(std::size_t port);
+  void grow_ports(std::size_t port);
   void close_episode(PortFold& fold);
+  void enter_window(i64 cycle);
+  void fold_conflict(i64 cycle, std::size_t port, i64 bank, std::size_t kind,
+                     std::size_t blocker);
 
   sim::MemoryConfig config_;
   AttributionOptions options_;
   i64 gap_;
   std::vector<PortFold> ports_;
-  std::vector<BarrierEpisode> episodes_;
+  /// A closed episode kept for episodes(), stored flat so that closing
+  /// one allocates nothing; its banks are closed_banks_[banks_begin,
+  /// banks_end).  finalize() builds episodes_ from these.
+  struct ClosedEpisode {
+    std::size_t port = 0;
+    i64 onset = 0;
+    i64 last = 0;
+    i64 lost_cycles = 0;
+    std::array<i64, sim::kConflictKinds> kinds{};
+    std::size_t banks_begin = 0;
+    std::size_t banks_end = 0;
+  };
+  std::vector<ClosedEpisode> closed_;  ///< the first max_episodes, closing order
+  std::vector<i64> closed_banks_;
+  std::vector<BarrierEpisode> episodes_;  ///< built by finalize()
   std::vector<BandwidthSample> series_;  ///< built by finalize()
   i64 episodes_truncated_ = 0;
   // b_eff(t) fold: grants per window, advanced as cycles pass.  The

@@ -1,12 +1,13 @@
 // Tracing v2: cycle-accurate run recording with bounded memory and a
 // Chrome trace-event / Perfetto JSON exporter (schema vpmem.trace/1).
 //
-// A Tracer attaches to a MemorySystem through the event-hook multiplexer
-// and does two things per event, both O(1): push a 32-byte packed record
-// into a shared sim::EventBuffer (chunked ring — memory stays bounded on
-// arbitrarily long runs) and fold the event into a ConflictAttribution
-// (exact per-(stream, bank, kind) lost-cycle matrices that never lose
-// precision to buffer eviction).
+// A Tracer attaches its sim::EventBuffer to a MemorySystem as a recorder
+// and does two things per event, both O(1): the engine pushes a 32-byte
+// packed record into the buffer inline (chunked ring — memory stays
+// bounded on arbitrarily long runs), and every filled chunk is folded
+// into a ConflictAttribution before it can be evicted (exact per-(stream,
+// bank, kind) lost-cycle matrices that never lose precision to buffer
+// eviction).
 //
 // The export draws one track per bank (service slices, nc periods each)
 // and one per port (transfer slices, conflict instants carrying kind /
@@ -85,10 +86,10 @@ class Tracer {
   TracerOptions options_;
   std::shared_ptr<sim::EventBuffer> buffer_;
   std::unique_ptr<ConflictAttribution> attribution_;
-  // One hook does both the buffer push and the attribution fold: a single
-  // std::function dispatch per simulated event is what keeps the traced
-  // engine within the 2x overhead budget (steady_perf_test).
-  std::size_t hook_ = 0;
+  // No std::function dispatch per simulated event: the engine pushes into
+  // the buffer inline and the attribution folds whole chunks.  That is
+  // what keeps the traced engine within the 2x overhead budget
+  // (steady_perf_test).
   bool attached_ = false;
   bool finished_ = false;
 };

@@ -27,87 +27,120 @@ ConflictAttribution::ConflictAttribution(const sim::MemoryConfig& config,
   if (options_.window <= 0) throw std::invalid_argument{"ConflictAttribution: window must be > 0"};
 }
 
-ConflictAttribution::PortFold& ConflictAttribution::fold_for(std::size_t port) {
-  if (port >= ports_.size()) {
-    ports_.resize(port + 1);
-    for (auto& f : ports_) {
-      if (f.by_bank_kind.empty()) {
-        f.by_bank_kind.assign(static_cast<std::size_t>(config_.banks) * sim::kConflictKinds, 0);
-        f.bank_in_episode.assign(static_cast<std::size_t>(config_.banks), 0);
-      }
+void ConflictAttribution::grow_ports(std::size_t port) {
+  ports_.resize(port + 1);
+  for (auto& f : ports_) {
+    if (f.by_bank_kind.empty()) {
+      f.by_bank_kind.assign(static_cast<std::size_t>(config_.banks) * sim::kConflictKinds, 0);
+      f.bank_in_episode.assign(static_cast<std::size_t>(config_.banks), 0);
     }
   }
+}
+
+inline ConflictAttribution::PortFold& ConflictAttribution::fold_for(std::size_t port) {
+  if (port >= ports_.size()) [[unlikely]] grow_ports(port);
   return ports_[port];
 }
 
 void ConflictAttribution::close_episode(PortFold& fold) {
   if (!fold.episode_open) return;
   fold.episode_open = false;
-  fold.open.kinds.bank = fold.open_kinds[0];
-  fold.open.kinds.simultaneous = fold.open_kinds[1];
-  fold.open.kinds.section = fold.open_kinds[2];
-  fold.open.kinds.fault = fold.open_kinds[3];
-  std::sort(fold.open.banks.begin(), fold.open.banks.end());
   for (const i64 bank : fold.open.banks) {
     fold.bank_in_episode[static_cast<std::size_t>(bank)] = 0;
   }
-  if (episodes_.size() < options_.max_episodes) {
-    // Keep the global list in onset order even though ports close
-    // episodes independently.
-    auto it = std::upper_bound(episodes_.begin(), episodes_.end(), fold.open,
-                               [](const BarrierEpisode& a, const BarrierEpisode& b) {
-                                 return a.onset < b.onset;
-                               });
-    episodes_.insert(it, fold.open);
+  if (closed_.size() < options_.max_episodes) {
+    const std::size_t begin = closed_banks_.size();
+    closed_banks_.insert(closed_banks_.end(), fold.open.banks.begin(), fold.open.banks.end());
+    closed_.push_back(ClosedEpisode{.port = fold.open.port,
+                                    .onset = fold.open.onset,
+                                    .last = fold.open.last,
+                                    .lost_cycles = fold.open.lost_cycles,
+                                    .kinds = fold.open_kinds,
+                                    .banks_begin = begin,
+                                    .banks_end = closed_banks_.size()});
   } else {
     ++episodes_truncated_;
   }
-  fold.open = BarrierEpisode{};
+  // Keep the banks list's capacity: barrier runs close an episode every
+  // few dozen events.
+  fold.open.banks.clear();
+}
+
+void ConflictAttribution::enter_window(i64 cycle) {
+  const auto w = static_cast<std::size_t>(cycle / options_.window);
+  if (w >= window_grants_.size()) window_grants_.resize(w + 1, 0);
+  cur_window_ = w;
+  window_end_ = (static_cast<i64>(w) + 1) * options_.window;
+}
+
+inline void ConflictAttribution::fold_conflict(i64 cycle, std::size_t port, i64 bank,
+                                               std::size_t kind, std::size_t blocker) {
+  PortFold& fold = fold_for(port);
+  // The (bank, kind) matrix is the only per-kind store on the hot path;
+  // by-kind and grand totals are row sums computed at query time.
+  ++fold.by_bank_kind[static_cast<std::size_t>(bank) * sim::kConflictKinds + kind];
+  if (blocker >= fold.by_blocker.size()) [[unlikely]] fold.by_blocker.resize(blocker + 1, 0);
+  ++fold.by_blocker[blocker];
+
+  // Episode tracking: merge stalls separated by at most gap_ periods.
+  if (fold.episode_open && cycle - fold.open.last > gap_) close_episode(fold);
+  if (!fold.episode_open) {
+    fold.episode_open = true;
+    fold.open.port = port;
+    fold.open.onset = cycle;
+    fold.open.lost_cycles = 0;
+    fold.open_kinds = {};
+  }
+  fold.open.last = cycle;
+  ++fold.open.lost_cycles;
+  ++fold.open_kinds[kind];  // indexed, not switched: the mix is unpredictable
+  std::uint8_t& seen = fold.bank_in_episode[static_cast<std::size_t>(bank)];
+  if (seen == 0) {
+    seen = 1;
+    fold.open.banks.push_back(bank);  // sorted when the episode closes
+  }
 }
 
 void ConflictAttribution::observe(const sim::Event& e) {
   if (finalized_) throw std::logic_error{"ConflictAttribution: observe() after finalize()"};
   last_cycle_ = std::max(last_cycle_, e.cycle);
-
   if (e.type == sim::Event::Type::grant) {
-    // Hot path: events arrive in (mostly) non-decreasing cycle order, so
-    // the current window is cached and the division only runs when the
-    // cycle leaves it.
+    // Events arrive in (mostly) non-decreasing cycle order, so the current
+    // window is cached and the division only runs when the cycle leaves it.
     if (e.cycle >= window_end_ || e.cycle < window_end_ - options_.window) {
-      const auto w = static_cast<std::size_t>(e.cycle / options_.window);
-      if (w >= window_grants_.size()) window_grants_.resize(w + 1, 0);
-      cur_window_ = w;
-      window_end_ = (static_cast<i64>(w) + 1) * options_.window;
+      enter_window(e.cycle);
     }
     ++window_grants_[cur_window_];
     ++total_grants_;
-    return;
+  } else {
+    fold_conflict(e.cycle, e.port, e.bank, static_cast<std::size_t>(e.conflict), e.blocker);
   }
+}
 
-  PortFold& fold = fold_for(e.port);
-  const auto kind = static_cast<std::size_t>(e.conflict);
-  // The (bank, kind) matrix is the only per-kind store on the hot path;
-  // by-kind and grand totals are row sums computed at query time.
-  ++fold.by_bank_kind[static_cast<std::size_t>(e.bank) * sim::kConflictKinds + kind];
-  if (e.blocker >= fold.by_blocker.size()) fold.by_blocker.resize(e.blocker + 1, 0);
-  ++fold.by_blocker[e.blocker];
-
-  // Episode tracking: merge stalls separated by at most gap_ periods.
-  if (fold.episode_open && e.cycle - fold.open.last > gap_) close_episode(fold);
-  if (!fold.episode_open) {
-    fold.episode_open = true;
-    fold.open.port = e.port;
-    fold.open.onset = e.cycle;
-    fold.open_kinds = {};
+void ConflictAttribution::observe(std::span<const sim::PackedEvent> events) {
+  if (finalized_) throw std::logic_error{"ConflictAttribution: observe() after finalize()"};
+  // The same fold as observe(Event), with the running maximum cycle and
+  // the current window's grant count held in locals: as members they
+  // would chain every event through a store and a reload.
+  i64 last = last_cycle_;
+  i64 grants = 0;  // grants in window cur_window_ not yet added
+  for (const sim::PackedEvent& p : events) {
+    last = std::max(last, p.cycle);
+    if (p.kind == 0) {
+      if (p.cycle >= window_end_ || p.cycle < window_end_ - options_.window) [[unlikely]] {
+        if (grants != 0) window_grants_[cur_window_] += grants;
+        total_grants_ += grants;
+        grants = 0;
+        enter_window(p.cycle);
+      }
+      ++grants;
+    } else {
+      fold_conflict(p.cycle, p.port, p.bank, static_cast<std::size_t>(p.kind - 1), p.blocker);
+    }
   }
-  fold.open.last = e.cycle;
-  ++fold.open.lost_cycles;
-  ++fold.open_kinds[kind];  // indexed, not switched: the mix is unpredictable
-  std::uint8_t& seen = fold.bank_in_episode[static_cast<std::size_t>(e.bank)];
-  if (seen == 0) {
-    seen = 1;
-    fold.open.banks.push_back(e.bank);  // sorted when the episode closes
-  }
+  if (grants != 0) window_grants_[cur_window_] += grants;
+  total_grants_ += grants;
+  last_cycle_ = last;
 }
 
 void ConflictAttribution::finalize(i64 end_cycle) {
@@ -115,6 +148,30 @@ void ConflictAttribution::finalize(i64 end_cycle) {
   finalized_ = true;
   end_cycle_ = std::max(end_cycle, last_cycle_ + 1);
   for (auto& fold : ports_) close_episode(fold);
+  episodes_.reserve(closed_.size());
+  for (const ClosedEpisode& c : closed_) {
+    BarrierEpisode ep;
+    ep.port = c.port;
+    ep.onset = c.onset;
+    ep.last = c.last;
+    ep.lost_cycles = c.lost_cycles;
+    ep.banks.assign(closed_banks_.begin() + static_cast<std::ptrdiff_t>(c.banks_begin),
+                    closed_banks_.begin() + static_cast<std::ptrdiff_t>(c.banks_end));
+    std::sort(ep.banks.begin(), ep.banks.end());
+    ep.kinds = sim::ConflictTotals{.bank = c.kinds[0],
+                                   .simultaneous = c.kinds[1],
+                                   .section = c.kinds[2],
+                                   .fault = c.kinds[3]};
+    episodes_.push_back(std::move(ep));
+  }
+  closed_ = {};
+  closed_banks_ = {};
+  // Ports close episodes independently: order them by onset, ties in
+  // closing order.
+  std::stable_sort(episodes_.begin(), episodes_.end(),
+                   [](const BarrierEpisode& a, const BarrierEpisode& b) {
+                     return a.onset < b.onset;
+                   });
 
   // Materialize the b_eff(t) series, covering [0, end_cycle) even where
   // no grants landed.

@@ -16,16 +16,11 @@ Tracer::Tracer(sim::MemorySystem& mem, TracerOptions options)
         mem.config(),
         AttributionOptions{.window = options_.window, .episode_gap = options_.episode_gap});
   }
-  sim::EventBuffer* buffer = buffer_.get();
-  ConflictAttribution* attribution = attribution_.get();
-  if (attribution != nullptr) {
-    hook_ = mem_.add_event_hook([buffer, attribution](const sim::Event& e) {
-      buffer->push(e);
-      attribution->observe(e);
-    });
-  } else {
-    hook_ = mem_.add_event_hook([buffer](const sim::Event& e) { buffer->push(e); });
+  if (ConflictAttribution* attribution = attribution_.get()) {
+    buffer_->set_chunk_sink(
+        [attribution](std::span<const sim::PackedEvent> events) { attribution->observe(events); });
   }
+  mem_.add_recorder(*buffer_);
   attached_ = true;
 }
 
@@ -33,7 +28,9 @@ Tracer::~Tracer() { finish(); }
 
 void Tracer::finish() {
   if (attached_) {
-    mem_.remove_event_hook(hook_);
+    mem_.remove_recorder(*buffer_);
+    buffer_->flush();
+    buffer_->set_chunk_sink(nullptr);
     attached_ = false;
   }
   if (finished_) return;

@@ -82,12 +82,18 @@ struct StreamConfig {
 
   [[nodiscard]] bool has_pattern() const noexcept { return !bank_pattern.empty(); }
 
-  /// Bank targeted by request k.
+  /// Bank targeted by request k.  The affine address start + k*d is
+  /// reduced mod `banks` term by term, so any k >= 0 is defined.
   [[nodiscard]] i64 bank_of(i64 k, i64 banks) const {
     if (has_pattern()) {
       return bank_pattern[static_cast<std::size_t>(k % static_cast<i64>(bank_pattern.size()))];
     }
-    return mod_norm(start_bank + k * distance, banks);
+    i64 address = 0;
+    if (!__builtin_mul_overflow(k, distance, &address) &&
+        !__builtin_add_overflow(address, start_bank, &address)) {
+      return mod_norm(address, banks);
+    }
+    return add_mod(mod_norm(start_bank, banks), mul_mod(k, distance, banks), banks);
   }
 
   /// Throws std::invalid_argument if inconsistent with `cfg`.

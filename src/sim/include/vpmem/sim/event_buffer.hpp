@@ -12,7 +12,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "vpmem/sim/event.hpp"
@@ -22,8 +25,8 @@ namespace vpmem::sim {
 
 /// One retained event, packed to 32 bytes (sizeof(Event) is 48).  Field
 /// widths cover every configuration the library accepts: bank indices fit
-/// 32 bits and port counts 16 bits (the X-MP driver tops out at tens of
-/// ports); EventBuffer::push checks the limits once per event.
+/// 32 bits and port counts 16 bits (an X-MP kernel at n = 4096 adds a few
+/// hundred ports); EventBuffer::push checks the limits once per event.
 struct PackedEvent {
   i64 cycle = 0;
   i64 element = 0;
@@ -45,6 +48,8 @@ struct PackedEvent {
   }
 };
 
+static_assert(sizeof(PackedEvent) == 32);
+
 /// Chunked ring of PackedEvents.  push() is the tracing hot path: it
 /// appends to the newest chunk and only touches the chunk list when a
 /// chunk fills up.  Eviction drops whole chunks from the front, so the
@@ -64,20 +69,39 @@ class EventBuffer {
   /// kDefaultCapacity.
   explicit EventBuffer(std::size_t capacity = kDefaultCapacity);
 
-  /// Record one event, evicting the oldest chunk when full.
-  void push(const Event& e);
+  /// Record one event, evicting the oldest chunk when full.  Inline: this
+  /// is the per-event cost of every traced run.
+  void push(const Event& e) {
+    if (e.port > std::numeric_limits<std::uint16_t>::max() ||
+        e.blocker > std::numeric_limits<std::uint16_t>::max() ||
+        e.bank > std::numeric_limits<std::int32_t>::max()) [[unlikely]] {
+      field_width_exceeded();
+    }
+    if (cursor_ == chunk_end_) [[unlikely]] new_chunk();
+    PackedEvent& p = *cursor_++;
+    p.cycle = e.cycle;
+    p.element = e.element;
+    p.bank = static_cast<std::int32_t>(e.bank);
+    p.port = static_cast<std::uint16_t>(e.port);
+    p.blocker = static_cast<std::uint16_t>(e.blocker);
+    p.kind = e.type == Event::Type::grant
+                 ? std::uint8_t{0}
+                 : static_cast<std::uint8_t>(1 + static_cast<int>(e.conflict));
+  }
 
   /// Retained events (<= capacity()).
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_ + tail_fill(); }
   /// Events ever pushed, including evicted ones.
-  [[nodiscard]] i64 recorded() const noexcept { return recorded_; }
+  [[nodiscard]] i64 recorded() const noexcept {
+    return recorded_ + static_cast<i64>(tail_fill());
+  }
   /// Events evicted to stay within capacity.
   [[nodiscard]] i64 dropped() const noexcept { return recorded_ - static_cast<i64>(size_); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
   /// Packed bytes currently held.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return size_ * sizeof(PackedEvent);
+    return size() * sizeof(PackedEvent);
   }
 
   /// Cycle of the oldest retained event (0 when empty) — the start of the
@@ -88,7 +112,8 @@ class EventBuffer {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const auto& chunk : chunks_) {
-      for (std::size_t i = 0; i < chunk.count; ++i) fn(chunk.data[i].unpack());
+      const std::size_t count = &chunk == tail_ ? tail_fill() : chunk.count;
+      for (std::size_t i = 0; i < count; ++i) fn(chunk.data[i].unpack());
     }
   }
 
@@ -98,30 +123,55 @@ class EventBuffer {
   /// Drop everything; recorded()/dropped() reset too.
   void clear();
 
+  /// Receives the pushed events in order, a batch at a time.
+  using ChunkSink = std::function<void(std::span<const PackedEvent>)>;
+
+  /// Hand every event pushed from now on to `sink` exactly once, in
+  /// order: a chunk's events when it fills (so before it can be evicted)
+  /// and the rest on flush().  An online fold (obs::Tracer's attribution)
+  /// then runs in tight batches instead of once per event.  nullptr
+  /// detaches.
+  void set_chunk_sink(ChunkSink sink);
+
+  /// Deliver the events pushed since the last delivery to the sink.
+  void flush();
+
  private:
-  /// Fixed-size slab of kChunkEvents; `count` events are valid.
+  /// Fixed-size slab of kChunkEvents; `count` events are valid (the
+  /// tail's count is tail_fill() until the chunk closes).
   struct Chunk {
     std::unique_ptr<PackedEvent[]> data;
     std::size_t count = 0;
   };
 
-  /// Start a fresh tail chunk, evicting the oldest one at capacity.
+  /// Events written to the open tail chunk.
+  [[nodiscard]] std::size_t tail_fill() const noexcept {
+    return tail_ == nullptr ? 0 : static_cast<std::size_t>(cursor_ - tail_->data.get());
+  }
+  /// Close the full tail chunk and start a fresh one, evicting the oldest
+  /// chunk at capacity.
   void new_chunk();
+  [[noreturn]] static void field_width_exceeded();
 
   std::size_t capacity_;
-  std::size_t size_ = 0;
-  i64 recorded_ = 0;
+  std::size_t size_ = 0;  ///< retained events in closed chunks
+  i64 recorded_ = 0;      ///< events in closed chunks, evicted included
   std::deque<Chunk> chunks_;
   Chunk* tail_ = nullptr;  ///< cached &chunks_.back(); stable across pop_front
+  PackedEvent* cursor_ = nullptr;     ///< next slot of the tail chunk
+  PackedEvent* chunk_end_ = nullptr;  ///< one past the tail chunk
   /// Pre-faulted spare slabs; new_chunk() draws from here (or recycles an
   /// evicted chunk) so the steady state is allocation-free.
   std::vector<std::unique_ptr<PackedEvent[]>> free_;
+  ChunkSink sink_;
+  std::size_t delivered_ = 0;  ///< tail events already handed to sink_
 };
 
-/// RAII binding of an EventBuffer to a MemorySystem: attaches a hook that
-/// pushes every event into the (shared) buffer, detaches on destruction.
-/// Both trace::Timeline and obs::Tracer record through this, so a run
-/// traced by both stores its event stream exactly once.
+/// RAII binding of an EventBuffer to a MemorySystem: attaches the buffer
+/// as a recorder (MemorySystem::add_recorder), so every event is pushed
+/// into it, and detaches on destruction.  trace::Timeline records through
+/// this (obs::Tracer attaches its buffer the same way); a Timeline given a
+/// Tracer's shared buffer only reads it, so the stream is stored once.
 class EventRecorder {
  public:
   /// Uses `buffer` if given, otherwise creates one with `capacity`.
@@ -146,7 +196,6 @@ class EventRecorder {
  private:
   MemorySystem& mem_;
   std::shared_ptr<EventBuffer> buffer_;
-  std::size_t hook_ = 0;
   bool attached_ = false;
 };
 

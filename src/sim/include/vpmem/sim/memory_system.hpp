@@ -16,6 +16,8 @@
 
 namespace vpmem::sim {
 
+class EventBuffer;
+
 /// Current value of the "schema" member emitted by SystemState::to_json().
 inline constexpr const char* kCheckpointSchema = "vpmem.checkpoint/1";
 
@@ -66,6 +68,12 @@ struct SystemState {
 /// Ports may be added while the simulation runs (add_stream); the Cray
 /// X-MP driver uses this to issue chained vector instructions whose start
 /// times depend on earlier instructions' progress.
+///
+/// Cost model: one step() visits only the *live* ports (unfinished, in
+/// ascending index order) and resets only the bank and path claims it
+/// granted, so it costs O(live ports + grants) — independent of m and of
+/// how many finished ports were ever added.  A port leaves the live list
+/// after the step in which it transfers its last element.
 class MemorySystem {
  public:
   /// `streams` may be empty; ports can be injected later via add_stream
@@ -91,7 +99,15 @@ class MemorySystem {
   i64 run(i64 cycles, bool stop_when_finished = true);
 
   /// All finite-length streams have transferred all their elements.
-  [[nodiscard]] bool finished() const noexcept;
+  [[nodiscard]] bool finished() const noexcept { return live_.empty(); }
+
+  /// Ports that have not finished yet (the ones step() visits).
+  [[nodiscard]] std::size_t live_port_count() const noexcept { return live_.size(); }
+
+  /// Port visits made by step() since construction (or restore): the sum
+  /// of live_port_count() over every simulated period.  A deterministic
+  /// work counter, not part of the checkpointed state.
+  [[nodiscard]] i64 ports_visited() const noexcept { return ports_visited_; }
 
   [[nodiscard]] i64 now() const noexcept { return now_; }
   [[nodiscard]] const MemoryConfig& config() const noexcept { return config_; }
@@ -147,8 +163,17 @@ class MemorySystem {
   /// Detach the hook with the given handle (no-op if already removed).
   void remove_event_hook(std::size_t handle);
 
-  /// Number of hooks currently attached.
+  /// Number of observers currently attached: hooks plus recorders.
   [[nodiscard]] std::size_t event_hook_count() const noexcept;
+
+  /// Append every event to `buffer` (inline, without a std::function
+  /// dispatch) until remove_recorder — the tracing fast path behind
+  /// EventRecorder and obs::Tracer.  Recorders see each event before the
+  /// hooks do.  `buffer` must outlive its attachment.
+  void add_recorder(EventBuffer& buffer);
+
+  /// Detach `buffer` (no-op if it is not attached).
+  void remove_recorder(const EventBuffer& buffer);
 
   /// \deprecated Legacy single-hook interface, kept only for pre-
   /// multiplexer callers; use add_event_hook/remove_event_hook in new
@@ -169,19 +194,28 @@ class MemorySystem {
     StreamConfig cfg;
     i64 issued = 0;  ///< elements granted so far
     PortStats stats;
+    /// Bank of request `issued` (cfg.bank_of(issued, m)), advanced on
+    /// every grant: affine streams add `stride`, patterns look it up.
+    i64 bank = 0;
+    i64 stride = 0;  ///< distance mod m (affine streams)
     [[nodiscard]] bool done() const noexcept { return issued >= cfg.length; }
   };
 
-  void emit(const Event& e) const;
+  void dispatch(const Event& e) const;
   void init_fault_state();
   void apply_due_faults();
   void rebuild_surviving();
+  void rebuild_live();
+  void advance(PortState& port) const;
   [[nodiscard]] i64 effective_bank(const PortState& port) const;
   [[nodiscard]] bool path_down(i64 cpu, i64 section) const;
 
   MemoryConfig config_;
   FaultPlan plan_;
   std::vector<PortState> ports_;
+  std::vector<std::size_t> live_;  ///< unfinished ports, ascending
+  i64 ports_visited_ = 0;
+  std::vector<i64> section_of_;    ///< config_.section_of(bank), per bank
   std::vector<i64> bank_free_at_;  ///< absolute cycle the bank becomes inactive
   std::vector<i64> bank_grants_;   ///< grants served per bank
   std::vector<std::size_t> bank_owner_;  ///< port of the latest grant per bank
@@ -193,10 +227,14 @@ class MemorySystem {
   /// functions so handles remain stable (hook churn is rare and tiny).
   std::vector<EventHook> hooks_;
   std::size_t live_hooks_ = 0;  ///< count of non-empty entries in hooks_
+  std::vector<EventBuffer*> recorders_;
   std::size_t legacy_hook_ = static_cast<std::size_t>(-1);  ///< set_event_hook slot
-  // Per-step scratch (members to avoid per-cycle allocation).
+  // Per-step scratch (members to avoid per-cycle allocation).  Only the
+  // entries granted in a step are claimed; `granted_` lists them as
+  // (bank, path) so the next step resets just those.
   std::vector<std::size_t> bank_claim_;
   std::vector<std::size_t> path_claim_;
+  std::vector<std::pair<std::size_t, std::size_t>> granted_;
   // Dynamic fault state, advanced by apply_due_faults() at the start of
   // every step.  All-healthy when the plan is empty (the hot path then
   // only pays one cursor comparison).

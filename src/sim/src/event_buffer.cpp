@@ -1,6 +1,5 @@
 #include "vpmem/sim/event_buffer.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 namespace vpmem::sim {
@@ -17,6 +16,13 @@ EventBuffer::EventBuffer(std::size_t capacity)
 }
 
 void EventBuffer::new_chunk() {
+  if (tail_ != nullptr) {
+    flush();  // the full tail, before eviction can recycle it
+    tail_->count = tail_fill();
+    size_ += tail_->count;
+    recorded_ += static_cast<i64>(tail_->count);
+  }
+  delivered_ = 0;
   Chunk next;
   if (size_ + kChunkEvents > capacity_ && !chunks_.empty()) {
     // Evict the oldest chunk but keep its slab: the warm ring runs
@@ -35,36 +41,22 @@ void EventBuffer::new_chunk() {
   // deque never relocates surviving elements on push_back/pop_front, so
   // the cached tail pointer stays valid until the next new_chunk().
   tail_ = &chunks_.back();
+  cursor_ = tail_->data.get();
+  chunk_end_ = cursor_ + kChunkEvents;
 }
 
-void EventBuffer::push(const Event& e) {
-  if (e.port > std::numeric_limits<std::uint16_t>::max() ||
-      e.blocker > std::numeric_limits<std::uint16_t>::max() ||
-      e.bank > std::numeric_limits<std::int32_t>::max()) {
-    throw std::invalid_argument{"EventBuffer::push: port/bank exceeds packed field width"};
-  }
-  if (tail_ == nullptr || tail_->count == kChunkEvents) new_chunk();
-  PackedEvent& p = tail_->data[tail_->count++];
-  p.cycle = e.cycle;
-  p.element = e.element;
-  p.bank = static_cast<std::int32_t>(e.bank);
-  p.port = static_cast<std::uint16_t>(e.port);
-  p.blocker = static_cast<std::uint16_t>(e.blocker);
-  p.kind = e.type == Event::Type::grant
-               ? std::uint8_t{0}
-               : static_cast<std::uint8_t>(1 + static_cast<int>(e.conflict));
-  ++size_;
-  ++recorded_;
+void EventBuffer::field_width_exceeded() {
+  throw std::invalid_argument{"EventBuffer::push: port/bank exceeds packed field width"};
 }
 
 i64 EventBuffer::first_cycle() const {
-  if (chunks_.empty() || chunks_.front().count == 0) return 0;
+  if (empty()) return 0;
   return chunks_.front().data[0].cycle;
 }
 
 std::vector<Event> EventBuffer::events() const {
   std::vector<Event> out;
-  out.reserve(size_);
+  out.reserve(size());
   for_each([&out](const Event& e) { out.push_back(e); });
   return out;
 }
@@ -73,23 +65,38 @@ void EventBuffer::clear() {
   for (auto& chunk : chunks_) free_.push_back(std::move(chunk.data));
   chunks_.clear();
   tail_ = nullptr;
+  cursor_ = nullptr;
+  chunk_end_ = nullptr;
   size_ = 0;
   recorded_ = 0;
+  delivered_ = 0;
+}
+
+void EventBuffer::set_chunk_sink(ChunkSink sink) {
+  sink_ = std::move(sink);
+  delivered_ = tail_fill();
+}
+
+void EventBuffer::flush() {
+  const std::size_t fill = tail_fill();
+  if (!sink_ || delivered_ == fill) return;
+  sink_(std::span<const PackedEvent>{tail_->data.get() + delivered_, fill - delivered_});
+  delivered_ = fill;
 }
 
 EventRecorder::EventRecorder(MemorySystem& mem, std::shared_ptr<EventBuffer> buffer,
                              std::size_t capacity)
     : mem_{mem},
       buffer_{buffer ? std::move(buffer) : std::make_shared<EventBuffer>(capacity)},
-      hook_{mem.add_event_hook(
-          [b = buffer_.get()](const Event& e) { b->push(e); })},
-      attached_{true} {}
+      attached_{true} {
+  mem_.add_recorder(*buffer_);
+}
 
 EventRecorder::~EventRecorder() { detach(); }
 
 void EventRecorder::detach() {
   if (!attached_) return;
-  mem_.remove_event_hook(hook_);
+  mem_.remove_recorder(*buffer_);
   attached_ = false;
 }
 

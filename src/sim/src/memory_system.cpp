@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "vpmem/sim/event_buffer.hpp"
 #include "vpmem/util/error.hpp"
 
 namespace vpmem::sim {
@@ -21,6 +22,10 @@ MemorySystem::MemorySystem(MemoryConfig config, std::vector<StreamConfig> stream
       bank_claim_(static_cast<std::size_t>(config.banks), kFree) {
   config_.validate();
   plan_.validate(config_);
+  section_of_.resize(static_cast<std::size_t>(config_.banks));
+  for (i64 bank = 0; bank < config_.banks; ++bank) {
+    section_of_[static_cast<std::size_t>(bank)] = config_.section_of(bank);
+  }
   init_fault_state();
   ports_.reserve(streams.size());
   for (const auto& s : streams) add_stream(s);
@@ -39,9 +44,14 @@ MemorySystem::MemorySystem(const SystemState& state)
                 "MemorySystem: checkpoint bank vectors disagree with config"};
   }
   for (std::size_t i = 0; i < ports_.size(); ++i) {
+    if (state.issued[i] < 0) {
+      throw Error{ErrorCode::config_invalid, "MemorySystem: checkpoint issued count negative"};
+    }
     ports_[i].issued = state.issued[i];
     ports_[i].stats = state.stats[i];
+    ports_[i].bank = ports_[i].cfg.bank_of(ports_[i].issued, config_.banks);
   }
+  rebuild_live();
   bank_free_at_ = state.bank_free_at;
   bank_grants_ = state.bank_grants;
   for (std::size_t j = 0; j < banks; ++j) {
@@ -137,17 +147,31 @@ bool MemorySystem::path_down(i64 cpu, i64 section) const {
   return false;
 }
 
+void MemorySystem::rebuild_live() {
+  live_.clear();
+  for (std::size_t i = 0; i < ports_.size(); ++i) {
+    if (!ports_[i].done()) live_.push_back(i);
+  }
+}
+
+void MemorySystem::advance(PortState& port) const {
+  ++port.issued;
+  if (port.cfg.has_pattern()) {
+    port.bank = port.cfg.bank_of(port.issued, config_.banks);
+  } else {
+    port.bank = add_mod(port.bank, port.stride, config_.banks);
+  }
+}
+
 i64 MemorySystem::effective_bank(const PortState& port) const {
-  const i64 raw = port.cfg.bank_of(port.issued, config_.banks);
-  if (plan_.policy != FaultPolicy::remap_spare) return raw;
+  if (plan_.policy != FaultPolicy::remap_spare) return port.bank;
   const i64 alive = static_cast<i64>(surviving_.size());
-  if (alive == config_.banks || alive == 0) return raw;
+  if (alive == config_.banks || alive == 0) return port.bank;
   // The interleave collapses onto the m' surviving banks: the stream's
   // bank sequence is re-addressed mod m' and looked up in the ascending
-  // surviving list (fault.hpp documents this contract).
-  const i64 slot = port.cfg.has_pattern()
-                       ? mod_norm(port.cfg.bank_of(port.issued, config_.banks), alive)
-                       : mod_norm(port.cfg.start_bank + port.issued * port.cfg.distance, alive);
+  // surviving list (fault.hpp documents this contract).  For affine
+  // streams bank_of(k, m') is exactly (start + k*d) mod m'.
+  const i64 slot = mod_norm(port.cfg.bank_of(port.issued, alive), alive);
   return surviving_[static_cast<std::size_t>(slot)];
 }
 
@@ -157,10 +181,14 @@ std::size_t MemorySystem::add_stream(const StreamConfig& stream) {
     throw std::invalid_argument{"add_stream: start_cycle must not lie in the past"};
   }
   max_cpu_ = std::max(max_cpu_, stream.cpu);
-  path_claim_.assign(static_cast<std::size_t>((max_cpu_ + 1) * config_.sections), kFree);
+  path_claim_.resize(static_cast<std::size_t>((max_cpu_ + 1) * config_.sections), kFree);
   PortState port;
   port.cfg = stream;
+  port.bank = stream.bank_of(0, config_.banks);
+  port.stride = mod_norm(stream.distance, config_.banks);
   ports_.push_back(std::move(port));
+  // The new index is the largest, so the live list stays ascending.
+  if (!ports_.back().done()) live_.push_back(ports_.size() - 1);
   return ports_.size() - 1;
 }
 
@@ -184,7 +212,7 @@ bool MemorySystem::port_done(std::size_t port) const { return ports_.at(port).do
 std::optional<i64> MemorySystem::next_bank(std::size_t port) const {
   const PortState& p = ports_.at(port);
   if (p.done()) return std::nullopt;
-  return p.cfg.bank_of(p.issued, config_.banks);
+  return p.bank;
 }
 
 i64 MemorySystem::bank_busy(i64 bank) const {
@@ -221,10 +249,6 @@ i64 MemorySystem::hottest_bank() const {
   return static_cast<i64>(best);
 }
 
-bool MemorySystem::finished() const noexcept {
-  return std::all_of(ports_.begin(), ports_.end(), [](const PortState& p) { return p.done(); });
-}
-
 std::size_t MemorySystem::add_event_hook(EventHook hook) {
   if (!hook) throw std::invalid_argument{"add_event_hook: hook must be callable"};
   // Reuse a vacated slot when available to keep the fan-out loop dense.
@@ -247,15 +271,23 @@ void MemorySystem::remove_event_hook(std::size_t handle) {
   if (handle == legacy_hook_) legacy_hook_ = static_cast<std::size_t>(-1);
 }
 
-std::size_t MemorySystem::event_hook_count() const noexcept { return live_hooks_; }
+std::size_t MemorySystem::event_hook_count() const noexcept {
+  return live_hooks_ + recorders_.size();
+}
+
+void MemorySystem::add_recorder(EventBuffer& buffer) { recorders_.push_back(&buffer); }
+
+void MemorySystem::remove_recorder(const EventBuffer& buffer) {
+  const auto it = std::find(recorders_.begin(), recorders_.end(), &buffer);
+  if (it != recorders_.end()) recorders_.erase(it);
+}
 
 void MemorySystem::set_event_hook(EventHook hook) {
   remove_event_hook(legacy_hook_);
   if (hook) legacy_hook_ = add_event_hook(std::move(hook));
 }
 
-void MemorySystem::emit(const Event& e) const {
-  if (live_hooks_ == 0) return;
+void MemorySystem::dispatch(const Event& e) const {
   for (const EventHook& hook : hooks_) {
     if (hook) hook(e);
   }
@@ -267,56 +299,74 @@ void MemorySystem::step() {
     ++now_;
     return;
   }
-  std::fill(bank_claim_.begin(), bank_claim_.end(), kFree);
-  std::fill(path_claim_.begin(), path_claim_.end(), kFree);
+  // Release last step's claims: O(grants), not O(m).
+  for (const auto& [bank, path] : granted_) {
+    bank_claim_[bank] = kFree;
+    path_claim_[path] = kFree;
+  }
+  granted_.clear();
 
-  const std::size_t p = ports_.size();
-  const std::size_t first = (config_.priority == PriorityRule::cyclic) ? rr_ % p : 0;
+  // Visit the live ports in priority order: ascending index, starting
+  // under cyclic priority at the first live port >= rr_ mod p and
+  // wrapping — the full-rotation order with finished ports left out.
+  const std::size_t live = live_.size();
+  std::size_t first = 0;
+  if (config_.priority == PriorityRule::cyclic) {
+    const std::size_t head = rr_ % ports_.size();
+    first = static_cast<std::size_t>(std::lower_bound(live_.begin(), live_.end(), head) -
+                                     live_.begin());
+  }
+  ports_visited_ += static_cast<i64>(live);
+  bool any_finished = false;
+  const bool observed = live_hooks_ != 0 || !recorders_.empty();
 
-  for (std::size_t i = 0; i < p; ++i) {
-    const std::size_t idx = (first + i) % p;
+  for (std::size_t i = 0; i < live; ++i) {
+    const std::size_t at = first + i;
+    const std::size_t idx = live_[at < live ? at : at - live];
     PortState& port = ports_[idx];
-    if (port.done() || now_ < port.cfg.start_cycle) continue;
+    if (now_ < port.cfg.start_cycle) continue;
 
     const i64 bank = effective_bank(port);
     const auto bank_u = static_cast<std::size_t>(bank);
-
-    Event ev{.type = Event::Type::conflict,
-             .cycle = now_,
-             .port = idx,
-             .bank = bank,
-             .element = port.issued,
-             .conflict = ConflictKind::bank,
-             .blocker = idx};
+    const i64 section = section_of_[bank_u];
+    // Events are only materialized for attached observers.
+    const auto emit = [&](Event::Type type, ConflictKind kind, std::size_t blocker) {
+      if (!observed) return;
+      const Event e{.type = type,
+                    .cycle = now_,
+                    .port = idx,
+                    .bank = bank,
+                    .element = port.issued,
+                    .conflict = kind,
+                    .blocker = blocker};
+      for (EventBuffer* recorder : recorders_) recorder->push(e);
+      if (live_hooks_ != 0) dispatch(e);
+    };
+    const auto delay = [&](std::int64_t& counter, ConflictKind kind, std::size_t blocker) {
+      ++counter;
+      port.stats.longest_stall = std::max(port.stats.longest_stall, ++port.stats.current_stall);
+      emit(Event::Type::conflict, kind, blocker);
+    };
 
     // (0) Injected faults pin the request before any arbitration: the
     //     target bank is offline (stall policy, or remap with no survivor
     //     left), sits inside a transient stall window, or the access path
     //     is down.  Kind `fault`, blocker = the requester itself.
     if (bank_online_[bank_u] == 0 || now_ < bank_stall_until_[bank_u] ||
-        (!paths_down_.empty() && path_down(port.cfg.cpu, config_.section_of(bank)))) {
-      ev.conflict = ConflictKind::fault;
-      ++port.stats.fault_conflicts;
-      port.stats.longest_stall = std::max(port.stats.longest_stall, ++port.stats.current_stall);
-      emit(ev);
+        (!paths_down_.empty() && path_down(port.cfg.cpu, section))) {
+      delay(port.stats.fault_conflicts, ConflictKind::fault, idx);
       continue;
     }
 
     // (1) Claimed this very period by a higher-priority port: a
     //     simultaneous bank conflict if the winner sits on another CPU
     //     (different access path), a section conflict otherwise.
-    if (bank_claim_[bank_u] != kFree) {
-      const std::size_t winner = bank_claim_[bank_u];
-      ev.blocker = winner;
-      ev.conflict = (ports_[winner].cfg.cpu == port.cfg.cpu) ? ConflictKind::section
-                                                             : ConflictKind::simultaneous;
-      if (ev.conflict == ConflictKind::section) {
-        ++port.stats.section_conflicts;
+    if (const std::size_t winner = bank_claim_[bank_u]; winner != kFree) {
+      if (ports_[winner].cfg.cpu == port.cfg.cpu) {
+        delay(port.stats.section_conflicts, ConflictKind::section, winner);
       } else {
-        ++port.stats.simultaneous_conflicts;
+        delay(port.stats.simultaneous_conflicts, ConflictKind::simultaneous, winner);
       }
-      port.stats.longest_stall = std::max(port.stats.longest_stall, ++port.stats.current_stall);
-      emit(ev);
       continue;
     }
 
@@ -324,29 +374,21 @@ void MemorySystem::step() {
     //     The blocker is the port whose grant keeps the bank busy (the
     //     requester itself for a self conflict).
     if (bank_free_at_[bank_u] > now_) {
-      ev.conflict = ConflictKind::bank;
-      ev.blocker = bank_owner_[bank_u];
-      ++port.stats.bank_conflicts;
-      port.stats.longest_stall = std::max(port.stats.longest_stall, ++port.stats.current_stall);
-      emit(ev);
+      delay(port.stats.bank_conflicts, ConflictKind::bank, bank_owner_[bank_u]);
       continue;
     }
 
     // (3) Access path (CPU, section) already used this period.
-    const auto path = static_cast<std::size_t>(port.cfg.cpu * config_.sections +
-                                               config_.section_of(bank));
+    const auto path = static_cast<std::size_t>(port.cfg.cpu * config_.sections + section);
     if (path_claim_[path] != kFree) {
-      ev.blocker = path_claim_[path];
-      ev.conflict = ConflictKind::section;
-      ++port.stats.section_conflicts;
-      port.stats.longest_stall = std::max(port.stats.longest_stall, ++port.stats.current_stall);
-      emit(ev);
+      delay(port.stats.section_conflicts, ConflictKind::section, path_claim_[path]);
       continue;
     }
 
     // Grant.
     bank_claim_[bank_u] = idx;
     path_claim_[path] = idx;
+    granted_.emplace_back(bank_u, path);
     bank_free_at_[bank_u] = now_ + bank_nc_[bank_u];
     bank_owner_[bank_u] = idx;
     ++bank_grants_[bank_u];
@@ -354,16 +396,16 @@ void MemorySystem::step() {
     port.stats.current_stall = 0;
     if (port.stats.first_grant_cycle < 0) port.stats.first_grant_cycle = now_;
     port.stats.last_grant_cycle = now_;
-    ev.type = Event::Type::grant;
-    ev.blocker = idx;
-    emit(ev);
-    ++port.issued;
+    emit(Event::Type::grant, ConflictKind::bank, idx);
+    advance(port);
+    any_finished = any_finished || port.done();
   }
 
-  ++now_;
-  if (config_.priority == PriorityRule::cyclic && !ports_.empty()) {
-    rr_ = (rr_ + 1) % ports_.size();
+  if (any_finished) {
+    std::erase_if(live_, [this](std::size_t idx) { return ports_[idx].done(); });
   }
+  ++now_;
+  if (config_.priority == PriorityRule::cyclic) rr_ = (rr_ + 1) % ports_.size();
 }
 
 i64 MemorySystem::run(i64 cycles, bool stop_when_finished) {

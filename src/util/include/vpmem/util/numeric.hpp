@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -52,6 +53,25 @@ struct Egcd {
   if (m <= 0) throw std::invalid_argument{"mod_norm: modulus must be positive"};
   const i64 r = a % m;
   return (r < 0) ? r + m : r;
+}
+
+/// (a + b) mod m for a, b already in [0, m); never overflows.
+[[nodiscard]] constexpr i64 add_mod(i64 a, i64 b, i64 m) noexcept {
+  return a >= m - b ? a - (m - b) : a + b;
+}
+
+/// (a * b) mod m in [0, m) for any a, b, without overflowing i64 (stream
+/// addresses start + k*d with k near 2^62 stay defined).  Requires m > 0.
+[[nodiscard]] constexpr i64 mul_mod(i64 a, i64 b, i64 m) {
+  a = mod_norm(a, m);
+  b = mod_norm(b, m);
+  if (a == 0 || b <= std::numeric_limits<i64>::max() / a) return (a * b) % m;
+  i64 product = 0;  // double-and-add: only for m beyond ~3e9
+  for (; b > 0; b >>= 1) {
+    if ((b & 1) != 0) product = add_mod(product, a, m);
+    a = add_mod(a, a, m);
+  }
+  return product;
 }
 
 /// Multiplicative inverse of a modulo m; requires gcd(a, m) == 1.

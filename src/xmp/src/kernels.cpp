@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <stdexcept>
+#include <tuple>
 
 #include "vpmem/baseline/random_traffic.hpp"
 #include "vpmem/sim/memory_system.hpp"
@@ -33,6 +35,16 @@ void validate_setup(const XmpConfig& config, const TriadSetup& setup) {
 /// over the CPU's two load ports, the store chained a fixed latency
 /// behind the last operand's first element.  Processes the element range
 /// [first_element, first_element + count) of the loop.
+///
+/// Each operand (and the store) issues its strips in order, so a cursor
+/// per operand names its next instruction and tick() checks at most one
+/// candidate per operand instead of rescanning every strip.  A hardware
+/// port serves the earliest ready candidate in (strip, operand) order —
+/// a gathered load waits for its index load to start, and the port may
+/// serve a later operand meanwhile — and the ready candidates of one tick
+/// issue in (strip, operand) order, a strip's store after its loads, so
+/// sim port indices (and with them fixed priority) are those of a full
+/// rescan of every strip.
 class KernelDriver {
  public:
   KernelDriver(sim::MemorySystem& mem, const XmpConfig& config, const KernelSpec& spec,
@@ -47,46 +59,40 @@ class KernelDriver {
         nloads_{static_cast<std::size_t>(spec.loads)},
         strips_{static_cast<std::size_t>(ceil_div(count, config.vector_length))},
         load_idx_(strips_, std::vector<std::size_t>(std::max<std::size_t>(nloads_, 1), kUnset)),
-        store_idx_(strips_, kUnset) {
+        store_idx_(strips_, kUnset),
+        next_load_(nloads_, 0) {
     if (count_ < 1) throw std::invalid_argument{"KernelDriver: count must be >= 1"};
   }
 
   /// Schedule whatever became ready; call every clock period (and once
   /// before the first step to issue the initial loads).
   void tick() {
-    for (std::size_t k = 0; k < strips_; ++k) {
-      for (std::size_t q = 0; q < nloads_; ++q) {
-        if (load_idx_[k][q] != kUnset) continue;
-        HwPort& hw = load_port_[q % kLoadPorts];
-        if (hw.last != kUnset && !mem_.port_done(hw.last)) continue;
-        i64 start = (hw.last == kUnset) ? mem_.now() : free_after(hw.last);
-        if (spec_.gather && q == 1) {
-          // B(IX(I)) cannot issue before indices start arriving.
-          if (load_idx_[k][0] == kUnset || stats(load_idx_[k][0]).first_grant_cycle < 0) {
-            continue;
-          }
-          start = std::max(start,
-                           stats(load_idx_[k][0]).first_grant_cycle + config_.chain_latency);
-        }
-        load_idx_[k][q] = add(first_load_array() + q, k, start, hw);
+    // No issue changes another candidate's readiness within the tick: a
+    // new instruction has not started, and each port issues at most once.
+    std::array<Issue, kLoadPorts + 1> ready;
+    std::size_t count = 0;
+    const auto keep = [&](const std::optional<Issue>& issue) {
+      if (!issue) return;
+      std::size_t at = count++;  // insertion into (strip, operand) order
+      for (; at > 0 && std::tie(issue->strip, issue->operand) <
+                           std::tie(ready[at - 1].strip, ready[at - 1].operand);
+           --at) {
+        ready[at] = ready[at - 1];
       }
-      if (spec_.store && store_idx_[k] == kUnset) {
-        bool operands_started = true;
-        i64 chain_start = 0;
-        for (std::size_t q = 0; q < nloads_; ++q) {
-          if (load_idx_[k][q] == kUnset || stats(load_idx_[k][q]).first_grant_cycle < 0) {
-            operands_started = false;
-            break;
-          }
-          chain_start = std::max(
-              chain_start, stats(load_idx_[k][q]).first_grant_cycle + config_.chain_latency);
-        }
-        if (!operands_started) continue;
-        if (store_port_.last != kUnset) {
-          if (!mem_.port_done(store_port_.last)) continue;
-          chain_start = std::max(chain_start, free_after(store_port_.last));
-        }
-        store_idx_[k] = add(0, k, chain_start, store_port_);
+      ready[at] = *issue;
+    };
+    for (std::size_t h = 0; h < kLoadPorts; ++h) keep(load_candidate(h));
+    keep(store_candidate());
+    for (std::size_t i = 0; i < count; ++i) {
+      const Issue& issue = ready[i];
+      if (issue.operand == nloads_) {
+        store_idx_[issue.strip] = add(0, issue.strip, issue.start, store_port_);
+        ++next_store_;
+      } else {
+        load_idx_[issue.strip][issue.operand] =
+            add(first_load_array() + issue.operand, issue.strip, issue.start,
+                load_port_[issue.operand % kLoadPorts]);
+        ++next_load_[issue.operand];
       }
     }
   }
@@ -107,8 +113,60 @@ class KernelDriver {
   struct HwPort {
     std::size_t last = kUnset;  ///< sim-port index of the last instruction
   };
+  /// One instruction ready to issue; operand == nloads_ is the store.
+  struct Issue {
+    std::size_t strip = 0;
+    std::size_t operand = 0;
+    i64 start = 0;
+  };
 
   [[nodiscard]] std::size_t first_load_array() const { return spec_.store ? 1 : 0; }
+
+  /// Sim port `p` has been granted its first element.
+  [[nodiscard]] bool started(std::size_t p) const {
+    return p != kUnset && stats(p).first_grant_cycle >= 0;
+  }
+
+  /// Load port `h`'s next instruction: the earliest operand cursor in
+  /// (strip, operand) order among the operands it serves (q = h mod 2),
+  /// skipping a gathered load whose index load has not started.
+  [[nodiscard]] std::optional<Issue> load_candidate(std::size_t h) const {
+    const HwPort& hw = load_port_[h];
+    if (hw.last != kUnset && !mem_.port_done(hw.last)) return std::nullopt;
+    std::optional<Issue> best;
+    for (std::size_t q = h; q < nloads_; q += kLoadPorts) {
+      const std::size_t k = next_load_[q];
+      if (k == strips_ || (best && k >= best->strip)) continue;
+      // B(IX(I)) cannot issue before indices start arriving.
+      if (spec_.gather && q == 1 && !started(load_idx_[k][0])) continue;
+      best = Issue{.strip = k, .operand = q};
+    }
+    if (!best) return std::nullopt;
+    best->start = (hw.last == kUnset) ? mem_.now() : free_after(hw.last);
+    if (spec_.gather && best->operand == 1) {
+      best->start = std::max(best->start, stats(load_idx_[best->strip][0]).first_grant_cycle +
+                                              config_.chain_latency);
+    }
+    return best;
+  }
+
+  /// The store port's next instruction: the next strip's store once every
+  /// operand of that strip has started arriving.
+  [[nodiscard]] std::optional<Issue> store_candidate() const {
+    if (!spec_.store || next_store_ == strips_) return std::nullopt;
+    const std::size_t k = next_store_;
+    i64 chain_start = 0;
+    for (std::size_t q = 0; q < nloads_; ++q) {
+      if (!started(load_idx_[k][q])) return std::nullopt;
+      chain_start = std::max(chain_start,
+                             stats(load_idx_[k][q]).first_grant_cycle + config_.chain_latency);
+    }
+    if (store_port_.last != kUnset) {
+      if (!mem_.port_done(store_port_.last)) return std::nullopt;
+      chain_start = std::max(chain_start, free_after(store_port_.last));
+    }
+    return Issue{.strip = k, .operand = nloads_, .start = chain_start};
+  }
 
   [[nodiscard]] i64 strip_len(std::size_t k) const {
     return std::min<i64>(config_.vector_length,
@@ -167,6 +225,8 @@ class KernelDriver {
   HwPort store_port_;
   std::vector<std::vector<std::size_t>> load_idx_;
   std::vector<std::size_t> store_idx_;
+  std::vector<std::size_t> next_load_;  ///< per operand: next strip to issue
+  std::size_t next_store_ = 0;          ///< next strip whose store issues
   std::vector<std::size_t> ports_;
 };
 

@@ -3,6 +3,7 @@
 // and resumed to byte-identical results, a sandboxed campaign quarantines
 // a deliberately crashing point while every other point completes, and
 // SIGINT drains into a valid "interrupted" envelope with exit code 7.
+// Malformed numeric arguments exit 3 (config_invalid) with an envelope.
 // This file forks and execs, so it carries the "fork" ctest label and is
 // excluded from the ThreadSanitizer pass.
 #include <gtest/gtest.h>
@@ -193,6 +194,45 @@ TEST(CliCampaign, SigintDrainsIntoAValidInterruptedEnvelope) {
   EXPECT_EQ(doc.at("schema").as_string(), "vpmem.cli/1");
   EXPECT_EQ(doc.at("status").as_string(), "interrupted");
   EXPECT_EQ(doc.at("campaign").at("status").as_string(), "partial");
+}
+
+TEST(CliArguments, MalformedNumbersAreRejectedAsConfigInvalid) {
+  // Every numeric option is parsed strictly: junk, negative counts and
+  // out-of-range values exit 3 (config_invalid) instead of silently
+  // becoming 0 or wrapping.
+  TempDir dir{"badargs"};
+  const std::vector<std::vector<std::string>> bad{
+      {"fuzz", "10", "--jobs", "abc"},
+      {"fuzz", "10", "--jobs", "-5"},
+      {"fuzz", "10", "--jobs", "0"},
+      {"fuzz", "10", "--jobs", "4x"},
+      {"fuzz", "10", "--seed", "0xzz"},
+      {"fuzz", "10", "--cycles", "-1"},
+      {"fuzz", "10", "--cycles", "99999999999999999999"},
+      {"report", "13", "6", "1", "--length", "-3"},
+      {"report", "13", "6", "1", "--cycles", ""},
+      {"trace", "12", "3", "1", "7", "--window", "-64"},
+      {"single", "12x", "4", "1"},
+      {"pair", "12", "3", "1", "7", "--sections", "two"},
+      {"faults", "12", "3", "1", "--inline", "stall", "--max-cycles", "-1"},
+      {"sweep", "16", "3", "--d1", "1:2", "--d2", "1:2", "--retries", "-1"},
+      {"sweep", "16", "3", "--d1", "1:2", "--d2", "1:2", "--throttle-ms", "1e3"},
+  };
+  for (const auto& args : bad) {
+    std::string label;
+    for (const auto& a : args) label += a + ' ';
+    EXPECT_EQ(run_cli(args), 3) << label;
+    // With --json the failure still leaves a parseable error envelope.
+    const std::string envelope = dir.file("error.json");
+    std::vector<std::string> with_json = args;
+    with_json.insert(with_json.end(), {"--json", envelope});
+    ASSERT_EQ(run_cli(with_json), 3) << label;
+    const Json doc = Json::parse(slurp(envelope));
+    EXPECT_EQ(doc.at("schema").as_string(), "vpmem.cli/1") << label;
+    EXPECT_EQ(doc.at("error").at("code").as_string(), "config_invalid") << label;
+  }
+  // Well-formed values still run.
+  EXPECT_EQ(run_cli({"fuzz", "20", "--jobs", "2", "--seed", "0x20250807", "--cycles", "64"}), 0);
 }
 
 }  // namespace

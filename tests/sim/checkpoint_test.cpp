@@ -104,6 +104,29 @@ TEST(Checkpoint, FromJsonRejectsWrongSchema) {
   EXPECT_THROW((void)SystemState::from_json(Json::object()), vpmem::Error);
 }
 
+TEST(Checkpoint, RemapSpareAddressingStaysDefinedForHugeProgress) {
+  // A restored port 2^62 elements into its stream: under remap_spare the
+  // effective bank is surviving[(start + k*d) mod m'], computed without
+  // overflowing i64 (this suite runs under UBSan in the sanitizer pass).
+  const MemoryConfig cfg{.banks = 12, .sections = 12, .bank_cycle = 3};
+  const FaultPlan plan = FaultPlan::parse("remap_spare;boff@0:b3");
+  MemorySystem mem{cfg, {StreamConfig{.start_bank = 2, .distance = 5}}, plan};
+  mem.run(4, /*stop_when_finished=*/false);
+  SystemState state = mem.checkpoint();
+  const i64 k = (i64{1} << 62) + 1;
+  state.issued[0] = k;
+  MemorySystem restored{state};
+  // Raw bank (2 + 5k) mod 12 = 3 is the offline one; the survivors are
+  // {0,1,2,4,...,11} and (2 + 5k) mod 11 = 5 selects bank 6.
+  EXPECT_EQ(restored.next_bank(0), 3);
+  std::vector<Event> events;
+  restored.add_event_hook([&events](const Event& e) { events.push_back(e); });
+  restored.step();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].bank, 6);
+  EXPECT_EQ(events[0].element, k);
+}
+
 TEST(Checkpoint, HealthyMachineStateHasEmptyFaultVectors) {
   MemorySystem mem{flat(4, 2), {StreamConfig{.distance = 1}}};
   mem.run(8, /*stop_when_finished=*/false);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace vpmem::sim {
 namespace {
 
@@ -106,6 +108,31 @@ TEST(TwoStreams, CpuAssignment) {
   EXPECT_EQ(other[1].distance, 7);
   const auto same = two_streams(0, 1, 3, 7, /*same_cpu=*/true);
   EXPECT_EQ(same[1].cpu, 0);
+}
+
+TEST(StreamConfig, BankOfStaysDefinedForHugeElementIndices) {
+  // start + k*d overflows i64 for k near 2^62; bank_of reduces k and d
+  // mod m first (this suite runs under UBSan in the sanitizer pass).
+  // Expected values: (2 + (2^62 + 1) * 5) mod 7 = 6 and
+  // (2 + (2^62 + 1) * -3) mod 7 = 1.
+  const i64 k = (i64{1} << 62) + 1;
+  StreamConfig s;
+  s.start_bank = 2;
+  s.distance = 5;
+  EXPECT_EQ(s.bank_of(k, 7), 6);
+  s.distance = -3;
+  EXPECT_EQ(s.bank_of(k, 7), 1);
+  s.distance = std::numeric_limits<i64>::max();  // 2^63 - 1 == 0 mod 7
+  EXPECT_EQ(s.bank_of(k, 7), 2);
+  // A modulus beyond 2^31 takes mul_mod's double-and-add path:
+  // 2^60 * 4 mod (2^61 - 1) = 2.
+  s.start_bank = 0;
+  s.distance = 4;
+  EXPECT_EQ(s.bank_of(i64{1} << 60, (i64{1} << 61) - 1), 2);
+  // Small indices keep the direct formula.
+  s.start_bank = 3;
+  s.distance = -1;
+  EXPECT_EQ(s.bank_of(5, 16), 14);
 }
 
 TEST(Enums, ToString) {

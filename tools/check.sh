@@ -65,9 +65,9 @@ cmake --build build-asan -j "$jobs" --target \
   obs_metrics_test obs_collector_test \
   obs_report_test obs_timer_test obs_attribution_test obs_tracer_test \
   check_reference_model_test check_differential_fuzz_test check_replay_test \
-  check_fault_plan_fuzz_test
+  check_fault_plan_fuzz_test check_live_ports_test
 ctest --test-dir build-asan --output-on-failure -j "$jobs" -R \
-  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz)'
+  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz|check_live_ports)'
 
 echo "== sanitizer pass: TSan on everything but the fork-labelled suites =="
 cmake -B build-tsan -S . -DVPMEM_SANITIZE_THREAD=ON >/dev/null
