@@ -71,8 +71,9 @@ void bm_step_retired(benchmark::State& state) {
 }
 BENCHMARK(bm_step_retired);
 
-// The same workloads with the full tracing v2 stack attached (bounded
-// event buffer + attribution fold on one hook).  Comparing
+// The same workloads with the full tracing v2 stack attached (the bounded
+// event buffer attached as a recorder, attribution folded per filled
+// chunk).  Comparing
 // cycles_per_second against the matching bm_step row gives the tracer
 // overhead; steady_perf_test asserts the ratio stays under 2x.
 void bm_step_traced(benchmark::State& state) {

@@ -145,6 +145,11 @@ class ConflictAttribution {
   void grow_ports(std::size_t port);
   void close_episode(PortFold& fold);
   void enter_window(i64 cycle);
+  /// Grant step of the fold: `pending` counts grants of window
+  /// cur_window_ not yet added to window_grants_ and total_grants_
+  /// (callers batch them; add_grants() flushes).
+  void fold_grant(i64 cycle, i64& pending);
+  void add_grants(i64& pending);
   void fold_conflict(i64 cycle, std::size_t port, i64 bank, std::size_t kind,
                      std::size_t blocker);
 

@@ -73,6 +73,23 @@ void ConflictAttribution::enter_window(i64 cycle) {
   window_end_ = (static_cast<i64>(w) + 1) * options_.window;
 }
 
+inline void ConflictAttribution::add_grants(i64& pending) {
+  if (pending == 0) return;
+  window_grants_[cur_window_] += pending;
+  total_grants_ += pending;
+  pending = 0;
+}
+
+inline void ConflictAttribution::fold_grant(i64 cycle, i64& pending) {
+  // Events arrive in (mostly) non-decreasing cycle order, so the current
+  // window is cached and the division only runs when the cycle leaves it.
+  if (cycle >= window_end_ || cycle < window_end_ - options_.window) [[unlikely]] {
+    add_grants(pending);
+    enter_window(cycle);
+  }
+  ++pending;
+}
+
 inline void ConflictAttribution::fold_conflict(i64 cycle, std::size_t port, i64 bank,
                                                std::size_t kind, std::size_t blocker) {
   PortFold& fold = fold_for(port);
@@ -105,13 +122,9 @@ void ConflictAttribution::observe(const sim::Event& e) {
   if (finalized_) throw std::logic_error{"ConflictAttribution: observe() after finalize()"};
   last_cycle_ = std::max(last_cycle_, e.cycle);
   if (e.type == sim::Event::Type::grant) {
-    // Events arrive in (mostly) non-decreasing cycle order, so the current
-    // window is cached and the division only runs when the cycle leaves it.
-    if (e.cycle >= window_end_ || e.cycle < window_end_ - options_.window) {
-      enter_window(e.cycle);
-    }
-    ++window_grants_[cur_window_];
-    ++total_grants_;
+    i64 pending = 0;
+    fold_grant(e.cycle, pending);
+    add_grants(pending);
   } else {
     fold_conflict(e.cycle, e.port, e.bank, static_cast<std::size_t>(e.conflict), e.blocker);
   }
@@ -123,23 +136,16 @@ void ConflictAttribution::observe(std::span<const sim::PackedEvent> events) {
   // the current window's grant count held in locals: as members they
   // would chain every event through a store and a reload.
   i64 last = last_cycle_;
-  i64 grants = 0;  // grants in window cur_window_ not yet added
+  i64 pending = 0;
   for (const sim::PackedEvent& p : events) {
     last = std::max(last, p.cycle);
     if (p.kind == 0) {
-      if (p.cycle >= window_end_ || p.cycle < window_end_ - options_.window) [[unlikely]] {
-        if (grants != 0) window_grants_[cur_window_] += grants;
-        total_grants_ += grants;
-        grants = 0;
-        enter_window(p.cycle);
-      }
-      ++grants;
+      fold_grant(p.cycle, pending);
     } else {
       fold_conflict(p.cycle, p.port, p.bank, static_cast<std::size_t>(p.kind - 1), p.blocker);
     }
   }
-  if (grants != 0) window_grants_[cur_window_] += grants;
-  total_grants_ += grants;
+  add_grants(pending);
   last_cycle_ = last;
 }
 

@@ -88,11 +88,6 @@ struct StreamConfig {
     if (has_pattern()) {
       return bank_pattern[static_cast<std::size_t>(k % static_cast<i64>(bank_pattern.size()))];
     }
-    i64 address = 0;
-    if (!__builtin_mul_overflow(k, distance, &address) &&
-        !__builtin_add_overflow(address, start_bank, &address)) {
-      return mod_norm(address, banks);
-    }
     return add_mod(mod_norm(start_bank, banks), mul_mod(k, distance, banks), banks);
   }
 

@@ -65,7 +65,7 @@ struct Egcd {
 [[nodiscard]] constexpr i64 mul_mod(i64 a, i64 b, i64 m) {
   a = mod_norm(a, m);
   b = mod_norm(b, m);
-  if (a == 0 || b <= std::numeric_limits<i64>::max() / a) return (a * b) % m;
+  if (m <= 3'037'000'499) return a * b % m;  // a, b < m <= sqrt(2^63 - 1)
   i64 product = 0;  // double-and-add: only for m beyond ~3e9
   for (; b > 0; b >>= 1) {
     if ((b & 1) != 0) product = add_mod(product, a, m);

@@ -129,7 +129,7 @@ TEST(StreamConfig, BankOfStaysDefinedForHugeElementIndices) {
   s.start_bank = 0;
   s.distance = 4;
   EXPECT_EQ(s.bank_of(i64{1} << 60, (i64{1} << 61) - 1), 2);
-  // Small indices keep the direct formula.
+  // Small indices: (3 + 5 * -1) mod 16 = 14.
   s.start_bank = 3;
   s.distance = -1;
   EXPECT_EQ(s.bank_of(5, 16), 14);
