@@ -1049,15 +1049,13 @@ int cmd_trace(const Args& args) {
   options.attribution = !args.no_attribution;
   if (args.window > 0) options.window = args.window;
   obs::Tracer tracer{mem, options};
-  if (window > 0) {
-    mem.run(window, /*stop_when_finished=*/!infinite);
-  } else {
-    mem.run(1'000'000, /*stop_when_finished=*/true);
-    if (!mem.finished()) {
-      std::cerr << "error: finite workload did not finish within 1000000 cycles; "
-                   "pass --cycles\n";
-      return 1;
-    }
+  // A window needs no budget; a finite run to completion gets 1e6 cycles.
+  if (!sim::drive(mem, {.max_cycles = window > 0 ? window : 1'000'000, .livelock_factor = 0},
+                  {.horizon = window > 0 ? window : -1})
+           .ok()) {
+    throw vpmem::Error{vpmem::ErrorCode::deadline_exceeded,
+                       "trace: finite workload did not finish within 1000000 cycles; "
+                       "pass --cycles"};
   }
   tracer.finish();
 

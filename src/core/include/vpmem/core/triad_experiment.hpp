@@ -39,8 +39,10 @@ struct TriadExperiment {
   i64 inc_max = 16;
 };
 
-/// Run the full sweep (both contended and dedicated runs per INC), in
-/// parallel across `workers` threads.  When `telemetry` is non-null the
+/// Run the full sweep (both contended and dedicated runs per INC) on
+/// exec::parallel_for across `workers` threads (0 = one per hardware
+/// thread).  Rows come back in INC order; if runs throw, the exception of
+/// the lowest failing INC is rethrown on the caller.  When `telemetry` is non-null the
 /// sweep records per-INC wall-clock latency and the simulated clock
 /// periods of both runs into it (results are unaffected).
 [[nodiscard]] std::vector<TriadRow> run_triad_experiment(

@@ -35,7 +35,6 @@
 #include "vpmem/core/diagnose.hpp"
 #include "vpmem/core/group.hpp"
 #include "vpmem/core/layout.hpp"
-#include "vpmem/core/sweep.hpp"
 #include "vpmem/core/triad_experiment.hpp"
 #include "vpmem/exec/executor.hpp"
 #include "vpmem/exec/pool.hpp"

@@ -1,10 +1,34 @@
 #include "vpmem/core/triad_experiment.hpp"
 
+#include <algorithm>
+#include <exception>
 #include <stdexcept>
+#include <thread>
 
-#include "vpmem/core/sweep.hpp"
+#include "vpmem/exec/pool.hpp"
 
 namespace vpmem::core {
+
+namespace {
+
+TriadRow triad_row(const TriadExperiment& experiment, i64 inc) {
+  xmp::TriadSetup setup = experiment.setup;
+  setup.inc = inc;
+  const xmp::TriadResult contended =
+      xmp::run_triad(experiment.machine, setup, /*other_cpu_active=*/true);
+  const xmp::TriadResult dedicated =
+      xmp::run_triad(experiment.machine, setup, /*other_cpu_active=*/false);
+  TriadRow row;
+  row.inc = inc;
+  row.cycles_contended = contended.cycles;
+  row.cycles_dedicated = dedicated.cycles;
+  row.conflicts_contended = contended.conflicts;
+  row.conflicts_dedicated = dedicated.conflicts;
+  row.background_goodput = contended.background_goodput();
+  return row;
+}
+
+}  // namespace
 
 std::vector<TriadRow> run_triad_experiment(const TriadExperiment& experiment,
                                            std::size_t workers,
@@ -13,26 +37,29 @@ std::vector<TriadRow> run_triad_experiment(const TriadExperiment& experiment,
     throw std::invalid_argument{"run_triad_experiment: bad INC range"};
   }
   const auto count = static_cast<std::size_t>(experiment.inc_max - experiment.inc_min + 1);
-  return parallel_index_map<TriadRow>(
-      count,
-      [&](std::size_t i) {
-        xmp::TriadSetup setup = experiment.setup;
-        setup.inc = experiment.inc_min + static_cast<i64>(i);
-        const xmp::TriadResult contended =
-            xmp::run_triad(experiment.machine, setup, /*other_cpu_active=*/true);
-        const xmp::TriadResult dedicated =
-            xmp::run_triad(experiment.machine, setup, /*other_cpu_active=*/false);
-        TriadRow row;
-        row.inc = setup.inc;
-        row.cycles_contended = contended.cycles;
-        row.cycles_dedicated = dedicated.cycles;
-        row.conflicts_contended = contended.conflicts;
-        row.conflicts_dedicated = dedicated.conflicts;
-        row.background_goodput = contended.background_goodput();
-        if (telemetry != nullptr) telemetry->add_cycles(contended.cycles + dedicated.cycles);
-        return row;
-      },
-      workers, telemetry);
+  const std::size_t hw = std::max(1U, std::thread::hardware_concurrency());
+  const auto jobs = static_cast<int>(workers == 0 ? hw : std::min(workers, hw));
+  std::vector<TriadRow> rows(count);
+  // parallel_for must not see an exception; keep each row's and rethrow
+  // the first (in INC order) on the caller.
+  std::vector<std::exception_ptr> errors(count);
+  exec::parallel_for(static_cast<i64>(count), jobs, [&](i64 index, int /*worker*/) {
+    const auto i = static_cast<std::size_t>(index);
+    try {
+      const obs::Stopwatch watch;
+      rows[i] = triad_row(experiment, experiment.inc_min + index);
+      if (telemetry != nullptr) {
+        telemetry->record_point(watch.seconds(),
+                                rows[i].cycles_contended + rows[i].cycles_dedicated);
+      }
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  return rows;
 }
 
 Table triad_table(const std::vector<TriadRow>& rows) {

@@ -111,7 +111,10 @@ struct ReportOptions {
 /// full report.  For all-infinite streams this also performs exact
 /// steady-state detection (kind = "steady_state"); otherwise the workload
 /// runs to completion (kind = "finite_run").  Mixed finite/infinite
-/// workloads are rejected (std::invalid_argument).
+/// workloads are rejected (vpmem::Error{config_invalid}); a finite run
+/// that does not finish within options.max_cycles throws
+/// vpmem::Error{deadline_exceeded}.  Shares its observe-drive-fill body
+/// with report_run_guarded, driven with livelock detection off.
 [[nodiscard]] RunReport report_run(const sim::MemoryConfig& config,
                                    const std::vector<sim::StreamConfig>& streams,
                                    const ReportOptions& options = {});

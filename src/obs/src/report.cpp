@@ -255,32 +255,75 @@ void RunReport::save(const std::string& path, int indent) const {
   write_json(out, indent);
 }
 
-RunReport report_run(const sim::MemoryConfig& config,
-                     const std::vector<sim::StreamConfig>& streams,
-                     const ReportOptions& options) {
+namespace {
+
+/// The body both report_run variants share: build the machine with the
+/// Collector and (optionally) the attribution fold attached, drive it,
+/// and fill the status, window, bank and metrics fields.
+sim::RunStatus observe_run(RunReport& report, const ReportOptions& options,
+                           const sim::Watchdog& watchdog, i64 horizon) {
+  sim::MemorySystem mem{report.config, report.streams, report.fault_plan};
+  Collector collector{mem};
+  std::unique_ptr<ConflictAttribution> attribution;
+  std::size_t attribution_hook = 0;
+  if (options.attribution) {
+    attribution = std::make_unique<ConflictAttribution>(
+        report.config, AttributionOptions{.window = options.attribution_window});
+    attribution_hook = mem.add_event_hook(
+        [a = attribution.get()](const sim::Event& e) { a->observe(e); });
+  }
+
+  const sim::GuardedRun run = sim::drive(mem, watchdog, {.horizon = horizon});
+
+  collector.finish();
+  if (attribution) {
+    mem.remove_event_hook(attribution_hook);
+    attribution->finalize(mem.now());
+    report.attribution = attribution->to_json();
+  }
+  report.status = to_string(run.status);
+  report.status_detail = run.detail;
+  report.cycles = run.result.cycles;
+  report.ports = run.result.ports;
+  report.conflicts = run.result.conflicts;
+  report.window_bandwidth = run.result.bandwidth();
+  report.bank_grants = collector.bank_grants();
+  report.bank_utilization = mem.bank_utilization();
+  report.hottest_bank = mem.hottest_bank();
+  report.metrics = collector.to_json();
+  report.perf.cycles_simulated += mem.now();
+  return run.status;
+}
+
+/// True for all-infinite streams; throws on a finite/infinite mix.
+bool all_infinite(const std::vector<sim::StreamConfig>& streams, const char* who) {
   std::size_t infinite = 0;
   for (const auto& s : streams) {
     if (s.length == sim::kInfiniteLength) ++infinite;
   }
   if (infinite != 0 && infinite != streams.size()) {
     throw Error{ErrorCode::config_invalid,
-                "report_run: streams must be all finite or all infinite (mixed workloads "
-                "have no single report kind)"};
+                std::string{who} + ": streams must be all finite or all infinite"};
   }
-  const bool is_steady = infinite != 0;
+  return infinite != 0;
+}
 
+}  // namespace
+
+RunReport report_run(const sim::MemoryConfig& config,
+                     const std::vector<sim::StreamConfig>& streams,
+                     const ReportOptions& options) {
+  const bool is_steady = all_infinite(streams, "report_run");
   RunReport report;
   report.config = config;
   report.streams = streams;
   report.kind = is_steady ? "steady_state" : "finite_run";
 
   const Stopwatch wall;
-  i64 cycles_simulated = 0;
-
   i64 window = options.cycles;
   if (is_steady) {
     const sim::SteadyState ss = sim::find_steady_state(config, streams, options.max_cycles);
-    cycles_simulated += ss.cycles_simulated;
+    report.perf.cycles_simulated = ss.cycles_simulated;
     if (window <= 0) window = ss.transient_cycles + ss.period;
     SteadyStateReport steady;
     steady.b_eff = ss.bandwidth;
@@ -292,46 +335,14 @@ RunReport report_run(const sim::MemoryConfig& config,
     report.steady_state = std::move(steady);
   }
 
-  sim::MemorySystem mem{config, streams};
-  Collector collector{mem};
-  std::unique_ptr<ConflictAttribution> attribution;
-  std::size_t attribution_hook = 0;
-  if (options.attribution) {
-    attribution = std::make_unique<ConflictAttribution>(
-        config, AttributionOptions{.window = options.attribution_window});
-    attribution_hook = mem.add_event_hook(
-        [a = attribution.get()](const sim::Event& e) { a->observe(e); });
+  // A window needs no budget; a finite run to completion keeps max_cycles.
+  const sim::Watchdog budget{.max_cycles = window > 0 ? window : options.max_cycles,
+                             .livelock_factor = 0};
+  if (observe_run(report, options, budget, window > 0 ? window : -1) !=
+      sim::RunStatus::completed) {
+    throw Error{ErrorCode::deadline_exceeded,
+                "report_run: finite workload did not finish within max_cycles"};
   }
-  if (is_steady || window > 0) {
-    report.cycles = mem.run(window, /*stop_when_finished=*/!is_steady);
-  } else {
-    report.cycles = mem.run(options.max_cycles, /*stop_when_finished=*/true);
-    if (!mem.finished()) {
-      throw Error{ErrorCode::deadline_exceeded,
-                  "report_run: finite workload did not finish within max_cycles"};
-    }
-  }
-  cycles_simulated += report.cycles;
-  collector.finish();
-  if (attribution) {
-    mem.remove_event_hook(attribution_hook);
-    attribution->finalize(report.cycles);
-    report.attribution = attribution->to_json();
-  }
-
-  report.ports = mem.all_stats();
-  report.conflicts = sim::totals(report.ports);
-  i64 total_grants = 0;
-  for (const auto& p : report.ports) total_grants += p.grants;
-  report.window_bandwidth =
-      report.cycles == 0
-          ? 0.0
-          : static_cast<double>(total_grants) / static_cast<double>(report.cycles);
-  report.bank_grants = collector.bank_grants();
-  report.bank_utilization = mem.bank_utilization();
-  report.hottest_bank = mem.hottest_bank();
-  report.metrics = collector.to_json();
-  report.perf.cycles_simulated = cycles_simulated;
   report.perf.wall_seconds = wall.seconds();
   return report;
 }
@@ -340,20 +351,11 @@ RunReport report_run_guarded(const sim::MemoryConfig& config,
                              const std::vector<sim::StreamConfig>& streams,
                              const sim::FaultPlan& plan, const ReportOptions& options,
                              const sim::Watchdog& watchdog) {
-  std::size_t infinite = 0;
-  for (const auto& s : streams) {
-    if (s.length == sim::kInfiniteLength) ++infinite;
-  }
-  if (infinite != 0 && infinite != streams.size()) {
-    throw Error{ErrorCode::config_invalid,
-                "report_run_guarded: streams must be all finite or all infinite"};
-  }
-  if (infinite != 0 && options.cycles <= 0) {
+  if (all_infinite(streams, "report_run_guarded") && options.cycles <= 0) {
     throw Error{ErrorCode::config_invalid,
                 "report_run_guarded: infinite streams require an explicit cycles horizon "
                 "(steady-state detection is unsound while a fault plan is active)"};
   }
-
   RunReport report;
   report.kind = "guarded_run";
   report.config = config;
@@ -361,38 +363,7 @@ RunReport report_run_guarded(const sim::MemoryConfig& config,
   report.fault_plan = plan;
 
   const Stopwatch wall;
-  sim::MemorySystem mem{config, streams, plan};
-  Collector collector{mem};
-  std::unique_ptr<ConflictAttribution> attribution;
-  std::size_t attribution_hook = 0;
-  if (options.attribution) {
-    attribution = std::make_unique<ConflictAttribution>(
-        config, AttributionOptions{.window = options.attribution_window});
-    attribution_hook = mem.add_event_hook(
-        [a = attribution.get()](const sim::Event& e) { a->observe(e); });
-  }
-
-  const i64 horizon = options.cycles > 0 ? options.cycles : -1;
-  const sim::GuardedRun run = sim::run_guarded_on(mem, watchdog, horizon);
-
-  report.status = to_string(run.status);
-  report.status_detail = run.detail;
-  report.cycles = run.result.cycles;
-  report.ports = run.result.ports;
-  report.conflicts = run.result.conflicts;
-  report.window_bandwidth = run.result.bandwidth();
-
-  collector.finish();
-  if (attribution) {
-    mem.remove_event_hook(attribution_hook);
-    attribution->finalize(mem.now());
-    report.attribution = attribution->to_json();
-  }
-  report.bank_grants = collector.bank_grants();
-  report.bank_utilization = mem.bank_utilization();
-  report.hottest_bank = mem.hottest_bank();
-  report.metrics = collector.to_json();
-  report.perf.cycles_simulated = mem.now();
+  observe_run(report, options, watchdog, options.cycles > 0 ? options.cycles : -1);
   report.perf.wall_seconds = wall.seconds();
   return report;
 }

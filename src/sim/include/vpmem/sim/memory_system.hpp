@@ -101,6 +101,10 @@ class MemorySystem {
   /// All finite-length streams have transferred all their elements.
   [[nodiscard]] bool finished() const noexcept { return live_.empty(); }
 
+  /// Grants made by the most recent step() (0 before the first one):
+  /// lets sim::drive detect progress without summing every port.
+  [[nodiscard]] std::size_t last_step_grants() const noexcept { return granted_.size(); }
+
   /// Ports that have not finished yet (the ones step() visits).
   [[nodiscard]] std::size_t live_port_count() const noexcept { return live_.size(); }
 
@@ -175,14 +179,6 @@ class MemorySystem {
   /// Detach `buffer` (no-op if it is not attached).
   void remove_recorder(const EventBuffer& buffer);
 
-  /// \deprecated Legacy single-hook interface, kept only for pre-
-  /// multiplexer callers; use add_event_hook/remove_event_hook in new
-  /// code.  Replaces the hook installed by a prior set_event_hook call
-  /// (hooks added via add_event_hook are unaffected); pass nullptr to
-  /// remove.  check_event_hook_shim_test pins the coexistence contract
-  /// with obs::Collector.
-  void set_event_hook(EventHook hook);
-
   /// Opaque encoding of the machine state that determines all future
   /// behaviour of *infinite* streams (per-port phase, bank busy times,
   /// rotation of the cyclic priority).  Equal keys => identical futures;
@@ -228,7 +224,6 @@ class MemorySystem {
   std::vector<EventHook> hooks_;
   std::size_t live_hooks_ = 0;  ///< count of non-empty entries in hooks_
   std::vector<EventBuffer*> recorders_;
-  std::size_t legacy_hook_ = static_cast<std::size_t>(-1);  ///< set_event_hook slot
   // Per-step scratch (members to avoid per-cycle allocation).  Only the
   // entries granted in a step are claimed; `granted_` lists them as
   // (bank, path) so the next step resets just those.

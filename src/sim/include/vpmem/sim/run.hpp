@@ -1,11 +1,12 @@
-// Finite-run drivers: execute streams to completion (vector instructions
-// of length n) or measure long-run average bandwidth over a window —
-// plus guarded variants that return partial results under a cycle-budget
-// watchdog instead of throwing (degraded-mode workloads can hang forever,
-// e.g. a stream pinned on an offline bank under FaultPolicy::stall).
+// Run drivers: execute streams to completion (vector instructions of
+// length n) or measure long-run average bandwidth over a window, all on
+// one step loop, drive(), whose watchdog returns partial results instead
+// of hanging (degraded-mode workloads can run forever, e.g. a stream
+// pinned on an offline bank under FaultPolicy::stall).
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -52,7 +53,7 @@ struct RunResult {
                                        const std::vector<StreamConfig>& streams, i64 warmup,
                                        i64 window);
 
-/// How a guarded run ended.
+/// How a driven run ended.
 enum class RunStatus {
   completed,          ///< workload finished (or the requested window closed)
   deadline_exceeded,  ///< the cycle budget ran out first
@@ -63,10 +64,10 @@ enum class RunStatus {
 
 [[nodiscard]] std::string to_string(RunStatus status);
 
-/// Budget limits for a guarded run.
+/// Budget limits for drive().
 struct Watchdog {
   /// Hard cycle budget: the run stops (status deadline_exceeded) once
-  /// this many periods have been simulated without finishing.
+  /// now() reaches this cycle without finishing.
   i64 max_cycles = 100'000'000;
   /// Livelock window factor k: the run stops (status livelock) when no
   /// port was granted for more than k * nc * m consecutive periods while
@@ -75,7 +76,7 @@ struct Watchdog {
   /// within nc * m periods of a request, so k adds slack for fault
   /// recovery without masking true livelock.  <= 0 disables detection.
   i64 livelock_factor = 4;
-  /// Optional cooperative cancellation: when non-null, guarded runs poll
+  /// Optional cooperative cancellation: when non-null, drive() polls
   /// this flag (every kCancelPollCycles periods) and stop with status
   /// RunStatus::interrupted once it is set.  Wired to the process-wide
   /// SIGINT/SIGTERM token by long-running CLI subcommands and to the
@@ -96,7 +97,7 @@ struct Watchdog {
   }
 };
 
-/// Outcome of a guarded run: always a usable (possibly partial) result —
+/// Outcome of drive(): always a usable (possibly partial) result —
 /// expiry is reported in `status`, never thrown.
 struct GuardedRun {
   RunStatus status = RunStatus::completed;
@@ -107,45 +108,36 @@ struct GuardedRun {
   [[nodiscard]] bool ok() const noexcept { return status == RunStatus::completed; }
 };
 
-/// Deadline-aware run_to_completion: simulate the finite `streams` under
-/// `plan` until they finish, the watchdog budget expires, or livelock is
-/// detected.  On expiry the partial counters are returned, not thrown
-/// away; `result.cycles` is then the cycle the run stopped.  Still throws
-/// vpmem::Error{config_invalid} for infinite streams (a workload that
-/// *cannot* finish is a caller bug, not a runtime condition).
-[[nodiscard]] GuardedRun run_guarded(const MemoryConfig& config,
-                                     const std::vector<StreamConfig>& streams,
-                                     const FaultPlan& plan = {}, const Watchdog& watchdog = {});
-
-/// Drive an existing MemorySystem under the watchdog until its workload
-/// finishes — or, when `horizon` >= 0, until `horizon` total cycles have
-/// elapsed (for infinite workloads, which never finish).  Event hooks
-/// already attached to `mem` keep firing, so observers (obs::Collector,
-/// trace::Timeline) can watch a guarded run; obs::report_run_guarded is
-/// built on this.  Unlike run_guarded this never throws: the caller
-/// already built the system, so all inputs were validated.
-GuardedRun run_guarded_on(MemorySystem& mem, const Watchdog& watchdog = {}, i64 horizon = -1);
-
-/// Outcome of a guarded bandwidth measurement.
-struct BandwidthMeasurement {
-  RunStatus status = RunStatus::completed;
-  i64 grants = 0;       ///< grants inside the measured window
-  i64 cycles = 0;       ///< periods actually measured (== window if completed)
-  std::string detail;   ///< stop reason (empty if completed)
-
-  [[nodiscard]] bool ok() const noexcept { return status == RunStatus::completed; }
-  [[nodiscard]] double bandwidth() const noexcept {
-    return cycles == 0 ? 0.0 : static_cast<double>(grants) / static_cast<double>(cycles);
-  }
+/// When drive() stops besides the watchdog and the caller's predicate.
+struct StopRule {
+  /// Stop once now() reaches this absolute cycle; < 0 = no horizon.
+  i64 horizon = -1;
+  /// Stop once every finite stream has finished (MemorySystem::finished).
+  bool until_finished = true;
 };
 
-/// measure_bandwidth under a fault plan and watchdog: warm up for
-/// `warmup` periods, then measure [warmup, warmup + window).  Livelock
-/// detection spans the whole run; on detection the measurement covers the
-/// periods observed so far.  Throws vpmem::Error{config_invalid} on bad
-/// warmup/window arguments.
-[[nodiscard]] BandwidthMeasurement measure_bandwidth_guarded(
-    const MemoryConfig& config, const std::vector<StreamConfig>& streams, i64 warmup,
-    i64 window, const FaultPlan& plan = {}, const Watchdog& watchdog = {});
+/// Caller predicate checked after every step; returning true stops the
+/// run with status completed.  The X-MP drivers issue their next vector
+/// instructions in it, the steady-state search looks up the state key.
+using StepHook = std::function<bool(const MemorySystem&)>;
+
+/// The one step loop behind every run entry point.  Steps `mem` until the
+/// first of:
+///   - `stop.until_finished` and the workload finished    -> completed
+///   - `stop.horizon` reached                             -> completed
+///   - now() >= watchdog.max_cycles (absolute cycles)     -> deadline_exceeded
+///   - the cancel flag, polled every kCancelPollCycles    -> interrupted
+///   - no grant for the livelock window while requests pend (measured
+///     from the latest of last grant, latest stream start and the cycle
+///     the drive began; livelock_factor <= 0 turns it off) -> livelock
+///   - `after_step` returned true                         -> completed
+/// Grant detection reads the engine's record of the last step, so the
+/// loop costs O(1) on top of step().  Observers already attached to `mem`
+/// keep firing.  Never throws: the stop reason is the status, and the
+/// counters up to the stop are returned.  `result.cycles` is the cycle
+/// after the last grant for a run that completed without a horizon, and
+/// the cycles driven otherwise.
+GuardedRun drive(MemorySystem& mem, const Watchdog& watchdog, const StopRule& stop = {},
+                 const StepHook& after_step = {});
 
 }  // namespace vpmem::sim

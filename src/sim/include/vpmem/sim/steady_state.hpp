@@ -43,9 +43,10 @@ struct SteadyState {
 };
 
 /// Detect the cyclic state for a set of *infinite* streams.  Throws
-/// std::invalid_argument if any stream is finite and std::runtime_error if
-/// no cycle is found within `max_cycles` periods (cannot happen for valid
-/// configurations; the bound is a defensive cap).
+/// vpmem::Error{config_invalid} if any stream is finite and
+/// vpmem::Error{deadline_exceeded} if no cycle is found within
+/// `max_cycles` periods (cannot happen for valid configurations; the
+/// bound is a defensive cap).
 [[nodiscard]] SteadyState find_steady_state(const MemoryConfig& config,
                                             const std::vector<StreamConfig>& streams,
                                             i64 max_cycles = 1'000'000);

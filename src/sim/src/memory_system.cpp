@@ -268,7 +268,6 @@ void MemorySystem::remove_event_hook(std::size_t handle) {
   if (handle >= hooks_.size() || !hooks_[handle]) return;
   hooks_[handle] = nullptr;
   --live_hooks_;
-  if (handle == legacy_hook_) legacy_hook_ = static_cast<std::size_t>(-1);
 }
 
 std::size_t MemorySystem::event_hook_count() const noexcept {
@@ -280,11 +279,6 @@ void MemorySystem::add_recorder(EventBuffer& buffer) { recorders_.push_back(&buf
 void MemorySystem::remove_recorder(const EventBuffer& buffer) {
   const auto it = std::find(recorders_.begin(), recorders_.end(), &buffer);
   if (it != recorders_.end()) recorders_.erase(it);
-}
-
-void MemorySystem::set_event_hook(EventHook hook) {
-  remove_event_hook(legacy_hook_);
-  if (hook) legacy_hook_ = add_event_hook(std::move(hook));
 }
 
 void MemorySystem::dispatch(const Event& e) const {

@@ -1,32 +1,12 @@
 #include "vpmem/sim/run.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "vpmem/sim/memory_system.hpp"
 #include "vpmem/util/error.hpp"
 
 namespace vpmem::sim {
-
-namespace {
-
-i64 total_grants(const MemorySystem& mem) {
-  i64 g = 0;
-  for (std::size_t i = 0; i < mem.port_count(); ++i) g += mem.port_stats(i).grants;
-  return g;
-}
-
-i64 latest_start_cycle(const std::vector<StreamConfig>& streams) {
-  i64 latest = 0;
-  for (const auto& s : streams) latest = std::max(latest, s.start_cycle);
-  return latest;
-}
-
-void fill_counters(RunResult& out, const MemorySystem& mem) {
-  out.ports = mem.all_stats();
-  out.conflicts = totals(out.ports);
-}
-
-}  // namespace
 
 RunResult run_to_completion(const MemoryConfig& config, const std::vector<StreamConfig>& streams,
                             i64 max_cycles) {
@@ -36,30 +16,26 @@ RunResult run_to_completion(const MemoryConfig& config, const std::vector<Stream
     }
   }
   MemorySystem mem{config, streams};
-  mem.run(max_cycles, /*stop_when_finished=*/true);
-  if (!mem.finished()) {
+  GuardedRun run = drive(mem, Watchdog{.max_cycles = max_cycles, .livelock_factor = 0});
+  if (!run.ok()) {
     throw Error{ErrorCode::deadline_exceeded,
                 "run_to_completion: workload did not finish within max_cycles"};
   }
-  RunResult out;
-  fill_counters(out, mem);
-  for (const auto& p : out.ports) {
-    out.cycles = std::max(out.cycles, p.last_grant_cycle + 1);
-  }
-  return out;
+  return std::move(run.result);
 }
 
 double measure_bandwidth(const MemoryConfig& config, const std::vector<StreamConfig>& streams,
                          i64 warmup, i64 window) {
-  if (warmup < 0 || window <= 0) {
+  if (warmup < 0 || window <= 0 || window > std::numeric_limits<i64>::max() - warmup) {
     throw Error{ErrorCode::config_invalid,
                 "measure_bandwidth: warmup >= 0 and window > 0 required"};
   }
   MemorySystem mem{config, streams};
-  mem.run(warmup, /*stop_when_finished=*/false);
-  const i64 before = total_grants(mem);
-  mem.run(window, /*stop_when_finished=*/false);
-  const i64 after = total_grants(mem);
+  const Watchdog unguarded{.max_cycles = warmup + window, .livelock_factor = 0};
+  const i64 before =
+      drive(mem, unguarded, {.horizon = warmup, .until_finished = false}).result.total_grants();
+  const i64 after = drive(mem, unguarded, {.horizon = warmup + window, .until_finished = false})
+                        .result.total_grants();
   return static_cast<double>(after - before) / static_cast<double>(window);
 }
 
@@ -73,7 +49,16 @@ std::string to_string(RunStatus status) {
   return "?";
 }
 
-GuardedRun run_guarded_on(MemorySystem& mem, const Watchdog& watchdog, i64 horizon) {
+GuardedRun drive(MemorySystem& mem, const Watchdog& watchdog, const StopRule& stop,
+                 const StepHook& after_step) {
+  // Invariants live in locals: step() and the hook are opaque calls, so
+  // fields read through the references would be reloaded every cycle.
+  const i64 horizon = stop.horizon;
+  const bool until_finished = stop.until_finished;
+  const bool hooked = static_cast<bool>(after_step);
+  const std::atomic<bool>* const cancel = watchdog.cancel;
+  // First cycle at which the horizon or the budget ends the loop.
+  const i64 end = horizon < 0 ? watchdog.max_cycles : std::min(horizon, watchdog.max_cycles);
   const i64 window = watchdog.livelock_window(mem.config());
   const i64 begun = mem.now();
   i64 latest_start = 0;
@@ -81,99 +66,41 @@ GuardedRun run_guarded_on(MemorySystem& mem, const Watchdog& watchdog, i64 horiz
     latest_start = std::max(latest_start, mem.stream(i).start_cycle);
   }
   GuardedRun out;
-  i64 grants = total_grants(mem);
-  while ((horizon < 0 || mem.now() < horizon) && !mem.finished()) {
-    if (mem.now() >= watchdog.max_cycles) {
-      out.status = RunStatus::deadline_exceeded;
-      out.detail = "cycle budget of " + std::to_string(watchdog.max_cycles) +
-                   " exhausted before completion";
+  for (i64 now = begun; !(until_finished && mem.finished()); now = mem.now()) {
+    if (now >= end) {
+      if (horizon < 0 || now < horizon) {  // reaching the horizon is completion
+        out.status = RunStatus::deadline_exceeded;
+        out.detail = "cycle budget of " + std::to_string(watchdog.max_cycles) +
+                     " exhausted before completion";
+      }
       break;
     }
-    if (mem.now() % Watchdog::kCancelPollCycles == 0 && watchdog.cancelled()) {
+    if (cancel != nullptr && now % Watchdog::kCancelPollCycles == 0 &&
+        cancel->load(std::memory_order_relaxed)) {
       out.status = RunStatus::interrupted;
-      out.detail = "cancelled by caller at cycle " + std::to_string(mem.now());
+      out.detail = "cancelled by caller at cycle " + std::to_string(now);
       break;
     }
     mem.step();
-    const i64 g = total_grants(mem);
-    if (g > grants) {
-      grants = g;
-      out.last_grant_cycle = mem.now() - 1;
-    } else if (window > 0 &&
-               mem.now() - std::max({out.last_grant_cycle, latest_start, begun}) > window) {
+    if (mem.last_step_grants() != 0) {
+      out.last_grant_cycle = now;
+    } else if (window > 0 && !mem.finished() &&
+               now + 1 - std::max({out.last_grant_cycle, latest_start, begun}) > window) {
       out.status = RunStatus::livelock;
       out.detail = "no grant in the last " + std::to_string(window) +
                    " cycles (last grant at cycle " + std::to_string(out.last_grant_cycle) + ")";
       break;
     }
+    if (hooked && after_step(mem)) break;
   }
-  fill_counters(out.result, mem);
+  out.result.ports = mem.all_stats();
+  out.result.conflicts = totals(out.result.ports);
   if (out.status == RunStatus::completed && horizon < 0) {
     for (const auto& p : out.result.ports) {
       out.result.cycles = std::max(out.result.cycles, p.last_grant_cycle + 1);
     }
   } else {
     out.result.cycles = mem.now() - begun;
-  }
-  return out;
-}
-
-GuardedRun run_guarded(const MemoryConfig& config, const std::vector<StreamConfig>& streams,
-                       const FaultPlan& plan, const Watchdog& watchdog) {
-  for (const auto& s : streams) {
-    if (s.length == kInfiniteLength) {
-      throw Error{ErrorCode::config_invalid, "run_guarded: all streams must be finite"};
-    }
-  }
-  MemorySystem mem{config, streams, plan};
-  return run_guarded_on(mem, watchdog);
-}
-
-BandwidthMeasurement measure_bandwidth_guarded(const MemoryConfig& config,
-                                               const std::vector<StreamConfig>& streams,
-                                               i64 warmup, i64 window, const FaultPlan& plan,
-                                               const Watchdog& watchdog) {
-  if (warmup < 0 || window <= 0) {
-    throw Error{ErrorCode::config_invalid,
-                "measure_bandwidth_guarded: warmup >= 0 and window > 0 required"};
-  }
-  MemorySystem mem{config, streams, plan};
-  const i64 lwin = watchdog.livelock_window(config);
-  const i64 latest_start = latest_start_cycle(streams);
-  const i64 horizon = warmup + window;
-  BandwidthMeasurement out;
-  i64 total = 0;
-  i64 last_grant = -1;
-  i64 before = 0;  // grants accumulated when the measured window opened
-  while (mem.now() < horizon) {
-    if (mem.now() >= watchdog.max_cycles) {
-      out.status = RunStatus::deadline_exceeded;
-      out.detail = "cycle budget of " + std::to_string(watchdog.max_cycles) +
-                   " exhausted before the window closed";
-      break;
-    }
-    if (mem.now() % Watchdog::kCancelPollCycles == 0 && watchdog.cancelled()) {
-      out.status = RunStatus::interrupted;
-      out.detail = "cancelled by caller at cycle " + std::to_string(mem.now());
-      break;
-    }
-    if (mem.now() == warmup) before = total;
-    mem.step();
-    const i64 g = total_grants(mem);
-    if (g > total) {
-      total = g;
-      last_grant = mem.now() - 1;
-    } else if (lwin > 0 && mem.now() - std::max(last_grant, latest_start) > lwin &&
-               !mem.finished()) {
-      out.status = RunStatus::livelock;
-      out.detail = "no grant in the last " + std::to_string(lwin) +
-                   " cycles (last grant at cycle " + std::to_string(last_grant) + ")";
-      break;
-    }
-  }
-  if (mem.now() > warmup) {
-    out.grants = total - before;
-    out.cycles = mem.now() - warmup;
   }
   return out;
 }

@@ -2,9 +2,10 @@
 
 #include <chrono>
 #include <map>
-#include <stdexcept>
 
 #include "vpmem/sim/memory_system.hpp"
+#include "vpmem/sim/run.hpp"
+#include "vpmem/util/error.hpp"
 
 namespace vpmem::sim {
 
@@ -37,44 +38,48 @@ SteadyState find_steady_state(const MemoryConfig& config,
                               const std::vector<StreamConfig>& streams, i64 max_cycles) {
   for (const auto& s : streams) {
     if (s.length != kInfiniteLength) {
-      throw std::invalid_argument{"find_steady_state: all streams must be infinite"};
+      throw Error{ErrorCode::config_invalid, "find_steady_state: all streams must be infinite"};
     }
   }
   const auto wall_start = std::chrono::steady_clock::now();
   MemorySystem mem{config, streams};
   std::map<std::vector<i64>, Snapshot> seen;
-
-  for (i64 t = 0; t <= max_cycles; ++t) {
-    auto key = mem.state_key();
-    auto [it, inserted] = seen.try_emplace(std::move(key), snapshot_of(mem));
-    if (!inserted) {
-      const Snapshot& first = it->second;
-      const Snapshot now = snapshot_of(mem);
-      SteadyState out;
-      out.transient_cycles = first.cycle;
-      out.period = now.cycle - first.cycle;
-      out.grants_in_period.reserve(now.ports.size());
-      i64 total_grants = 0;
-      for (std::size_t i = 0; i < now.ports.size(); ++i) {
-        const PortStats d = delta(now.ports[i], first.ports[i]);
-        out.grants_in_period.push_back(d.grants);
-        total_grants += d.grants;
-        out.per_port.push_back(Rational{d.grants, out.period});
-        out.conflicts_in_period.bank += d.bank_conflicts;
-        out.conflicts_in_period.simultaneous += d.simultaneous_conflicts;
-        out.conflicts_in_period.section += d.section_conflicts;
-        out.conflicts_in_period.fault += d.fault_conflicts;
-        out.per_port_delta.push_back(d);
-      }
-      out.bandwidth = Rational{total_grants, out.period};
-      out.cycles_simulated = now.cycle;
-      out.wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-      return out;
-    }
-    mem.step();
+  const Snapshot* first = nullptr;  // the earlier visit of the repeated state
+  const auto revisited = [&](const MemorySystem& m) {
+    const auto [it, inserted] = seen.try_emplace(m.state_key(), snapshot_of(m));
+    if (!inserted) first = &it->second;
+    return !inserted;
+  };
+  revisited(mem);
+  drive(mem, Watchdog{.max_cycles = max_cycles, .livelock_factor = 0},
+        {.until_finished = false}, revisited);
+  if (first == nullptr) {
+    throw Error{ErrorCode::deadline_exceeded,
+                "find_steady_state: no cyclic state within max_cycles"};
   }
-  throw std::runtime_error{"find_steady_state: no cyclic state within max_cycles"};
+
+  const Snapshot now = snapshot_of(mem);
+  SteadyState out;
+  out.transient_cycles = first->cycle;
+  out.period = now.cycle - first->cycle;
+  out.grants_in_period.reserve(now.ports.size());
+  i64 total_grants = 0;
+  for (std::size_t i = 0; i < now.ports.size(); ++i) {
+    const PortStats d = delta(now.ports[i], first->ports[i]);
+    out.grants_in_period.push_back(d.grants);
+    total_grants += d.grants;
+    out.per_port.push_back(Rational{d.grants, out.period});
+    out.conflicts_in_period.bank += d.bank_conflicts;
+    out.conflicts_in_period.simultaneous += d.simultaneous_conflicts;
+    out.conflicts_in_period.section += d.section_conflicts;
+    out.conflicts_in_period.fault += d.fault_conflicts;
+    out.per_port_delta.push_back(d);
+  }
+  out.bandwidth = Rational{total_grants, out.period};
+  out.cycles_simulated = now.cycle;
+  out.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
+  return out;
 }
 
 OffsetSweep sweep_start_offsets(const MemoryConfig& config, i64 d1, i64 d2, bool same_cpu,

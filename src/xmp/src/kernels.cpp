@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <optional>
-#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "vpmem/baseline/random_traffic.hpp"
 #include "vpmem/sim/memory_system.hpp"
+#include "vpmem/sim/run.hpp"
+#include "vpmem/util/error.hpp"
 
 namespace vpmem::xmp {
 
@@ -15,18 +17,20 @@ namespace {
 
 constexpr std::size_t kUnset = static_cast<std::size_t>(-1);
 
+[[noreturn]] void invalid(const std::string& what) {
+  throw Error{ErrorCode::config_invalid, what};
+}
+
 void validate_setup(const XmpConfig& config, const TriadSetup& setup) {
   config.memory.validate();
-  if (config.vector_length < 1) throw std::invalid_argument{"XmpConfig: vector_length >= 1"};
-  if (config.issue_gap < 0) throw std::invalid_argument{"XmpConfig: issue_gap >= 0"};
-  if (config.chain_latency < 1) throw std::invalid_argument{"XmpConfig: chain_latency >= 1"};
-  if (setup.n < 1) throw std::invalid_argument{"TriadSetup: n >= 1"};
-  if (setup.inc < 1) throw std::invalid_argument{"TriadSetup: inc >= 1"};
-  if (setup.idim < 1) throw std::invalid_argument{"TriadSetup: idim >= 1"};
+  if (config.vector_length < 1) invalid("XmpConfig: vector_length >= 1");
+  if (config.issue_gap < 0) invalid("XmpConfig: issue_gap >= 0");
+  if (config.chain_latency < 1) invalid("XmpConfig: chain_latency >= 1");
+  if (setup.n < 1) invalid("TriadSetup: n >= 1");
+  if (setup.inc < 1) invalid("TriadSetup: inc >= 1");
+  if (setup.idim < 1) invalid("TriadSetup: idim >= 1");
   for (i64 b : config.background_start_banks) {
-    if (b < 0 || b >= config.memory.banks) {
-      throw std::invalid_argument{"XmpConfig: background start bank out of range"};
-    }
+    if (b < 0 || b >= config.memory.banks) invalid("XmpConfig: background start bank out of range");
   }
 }
 
@@ -61,11 +65,11 @@ class KernelDriver {
         load_idx_(strips_, std::vector<std::size_t>(std::max<std::size_t>(nloads_, 1), kUnset)),
         store_idx_(strips_, kUnset),
         next_load_(nloads_, 0) {
-    if (count_ < 1) throw std::invalid_argument{"KernelDriver: count must be >= 1"};
+    if (count_ < 1) invalid("KernelDriver: count must be >= 1");
   }
 
-  /// Schedule whatever became ready; call every clock period (and once
-  /// before the first step to issue the initial loads).
+  /// Schedule whatever became ready; call after every clock period (and
+  /// once before the first step to issue the initial loads).
   void tick() {
     // No issue changes another candidate's readiness within the tick: a
     // new instruction has not started, and each port issues at most once.
@@ -230,6 +234,20 @@ class KernelDriver {
   std::vector<std::size_t> ports_;
 };
 
+/// Step `mem`, calling `tick` (issue what became ready, then report
+/// whether every instruction finished) after each period.  No valid run
+/// lasts 1e6 + 64 n periods; a scheduler bug stops there with
+/// deadline_exceeded instead of hanging.  Livelock detection stays off:
+/// the drivers add ports with future start cycles mid-run.
+void run_kernel_loop(sim::MemorySystem& mem, i64 n, const sim::StepHook& tick) {
+  const sim::Watchdog guard{.max_cycles = 1'000'001 + n * 64, .livelock_factor = 0};
+  if (!sim::drive(mem, guard, {.until_finished = false}, tick).ok()) {
+    throw Error{ErrorCode::deadline_exceeded,
+                "run_kernel: execution did not finish within " +
+                    std::to_string(guard.max_cycles) + " cycles"};
+  }
+}
+
 std::vector<sim::PortStats> collect(const sim::MemorySystem& mem,
                                     const std::vector<std::size_t>& ports, i64* cycles) {
   std::vector<sim::PortStats> out;
@@ -244,15 +262,11 @@ std::vector<sim::PortStats> collect(const sim::MemorySystem& mem,
 }  // namespace
 
 void KernelSpec::validate() const {
-  if (loads < 0) throw std::invalid_argument{"KernelSpec: loads must be >= 0"};
-  if (loads == 0 && !store) {
-    throw std::invalid_argument{"KernelSpec: kernel must access memory"};
-  }
-  if (gather && loads < 2) {
-    throw std::invalid_argument{"KernelSpec: gather needs an index load and an indexed load"};
-  }
+  if (loads < 0) invalid("KernelSpec: loads must be >= 0");
+  if (loads == 0 && !store) invalid("KernelSpec: kernel must access memory");
+  if (gather && loads < 2) invalid("KernelSpec: gather needs an index load and an indexed load");
   if (scatter && (loads < 1 || !store)) {
-    throw std::invalid_argument{"KernelSpec: scatter needs an index load and a store"};
+    invalid("KernelSpec: scatter needs an index load and a store");
   }
 }
 
@@ -300,14 +314,10 @@ TriadResult run_kernel(const XmpConfig& config, const KernelSpec& spec, const Tr
     }
   }
 
-  const i64 guard = 1'000'000 + setup.n * 64;
-  while (!driver.finished()) {
-    if (mem.now() > guard) {
-      throw std::runtime_error{"run_kernel: execution did not finish (guard exceeded)"};
-    }
-    mem.step();
+  run_kernel_loop(mem, setup.n, [&](const sim::MemorySystem&) {
     driver.tick();
-  }
+    return driver.finished();
+  });
 
   TriadResult out;
   out.triad_ports = collect(mem, driver.ports(), &out.cycles);
@@ -331,15 +341,11 @@ MultitaskResult run_kernel_multitasked(const XmpConfig& config, const KernelSpec
   cpu0.tick();
   if (cpu1) cpu1->tick();
 
-  const i64 guard = 1'000'000 + setup.n * 64;
-  while (!(cpu0.finished() && (!cpu1 || cpu1->finished()))) {
-    if (mem.now() > guard) {
-      throw std::runtime_error{"run_kernel_multitasked: did not finish (guard exceeded)"};
-    }
-    mem.step();
+  run_kernel_loop(mem, setup.n, [&](const sim::MemorySystem&) {
     cpu0.tick();
     if (cpu1) cpu1->tick();
-  }
+    return cpu0.finished() && (!cpu1 || cpu1->finished());
+  });
 
   MultitaskResult out;
   out.cpu0_ports = collect(mem, cpu0.ports(), &out.cycles);

@@ -13,6 +13,7 @@
 
 #include "vpmem/analytic/stream.hpp"
 #include "vpmem/sim/fault.hpp"
+#include "vpmem/sim/memory_system.hpp"
 #include "vpmem/sim/run.hpp"
 
 namespace vpmem::analytic {
@@ -57,6 +58,20 @@ TEST(Degraded, CapacityIsMinOfBanksAndPorts) {
   EXPECT_EQ(degraded_capacity(0, 3, 2), (Rational{0, 1}));
 }
 
+/// Grants per period over [warmup, warmup + window) under `plan`.
+Rational measured_bandwidth(const sim::MemoryConfig& config,
+                            const std::vector<sim::StreamConfig>& streams, i64 warmup, i64 window,
+                            const sim::FaultPlan& plan) {
+  sim::MemorySystem mem{config, streams, plan};
+  const sim::GuardedRun warm =
+      sim::drive(mem, {}, {.horizon = warmup, .until_finished = false});
+  const sim::GuardedRun run =
+      sim::drive(mem, {}, {.horizon = warmup + window, .until_finished = false});
+  EXPECT_TRUE(warm.ok() && run.ok()) << run.detail;
+  EXPECT_EQ(run.result.cycles, window);
+  return Rational{run.result.total_grants() - warm.result.total_grants(), window};
+}
+
 /// Exact steady-state bandwidth of one affine stream under a permanent
 /// remap outage, measured over a window that is a whole number of r'·nc
 /// periods so the grant count divides evenly.
@@ -66,11 +81,8 @@ Rational measured_degraded_bandwidth(i64 m, i64 nc, i64 d, const std::vector<i64
   const i64 period = degraded_return_number(survivors, d) * nc;
   const i64 warmup = 8 * period;
   const i64 window = 64 * period;
-  const sim::BandwidthMeasurement bw = sim::measure_bandwidth_guarded(
-      flat(m, nc), {sim::StreamConfig{.start_bank = 0, .distance = d}}, warmup, window, plan);
-  EXPECT_EQ(bw.status, sim::RunStatus::completed);
-  EXPECT_EQ(bw.cycles, window);
-  return Rational{bw.grants, bw.cycles};
+  return measured_bandwidth(flat(m, nc), {sim::StreamConfig{.start_bank = 0, .distance = d}},
+                            warmup, window, plan);
 }
 
 TEST(Degraded, BoundIsExactAcrossSweep) {
@@ -113,10 +125,9 @@ TEST(Degraded, CapacityBoundsTwoStreamWorkloadDuringOutage) {
   // Two d=1 streams on m=8, nc=4, two banks down: total b_eff can never
   // exceed min(p, m'/nc) = min(2, 6/4) = 3/2.
   const sim::FaultPlan plan = remap_outage({2, 7});
-  const sim::BandwidthMeasurement bw = sim::measure_bandwidth_guarded(
-      flat(8, 4), sim::two_streams(0, 1, 4, 1), /*warmup=*/96, /*window=*/960, plan);
-  ASSERT_TRUE(bw.ok());
-  const Rational measured{bw.grants, bw.cycles};
+  const Rational measured =
+      measured_bandwidth(flat(8, 4), sim::two_streams(0, 1, 4, 1), /*warmup=*/96,
+                         /*window=*/960, plan);
   const Rational cap = degraded_capacity(6, 4, 2);
   EXPECT_EQ(cap, (Rational{3, 2}));
   EXPECT_LE(measured.to_double(), cap.to_double() + 1e-12);

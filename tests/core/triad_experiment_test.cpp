@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "vpmem/util/error.hpp"
+
 namespace vpmem::core {
 namespace {
 
@@ -27,13 +29,33 @@ TEST(TriadExperiment, ProducesOneRowPerInc) {
 }
 
 TEST(TriadExperiment, ParallelAndSequentialAgree) {
-  const auto seq = run_triad_experiment(small_experiment(), 1);
-  const auto par = run_triad_experiment(small_experiment(), 4);
-  ASSERT_EQ(seq.size(), par.size());
+  // More INCs than workers, so each worker claims several rows; they must
+  // still come back in INC order.
+  TriadExperiment exp = small_experiment();
+  exp.setup.n = 64;
+  exp.inc_max = 16;
+  const auto seq = run_triad_experiment(exp, 1);
+  const auto par = run_triad_experiment(exp, 4);
+  ASSERT_EQ(seq.size(), 16u);
+  ASSERT_EQ(par.size(), seq.size());
   for (std::size_t i = 0; i < seq.size(); ++i) {
+    EXPECT_EQ(par[i].inc, static_cast<i64>(i) + 1);
     EXPECT_EQ(seq[i].cycles_contended, par[i].cycles_contended);
     EXPECT_EQ(seq[i].cycles_dedicated, par[i].cycles_dedicated);
     EXPECT_EQ(seq[i].conflicts_contended.total(), par[i].conflicts_contended.total());
+  }
+}
+
+TEST(TriadExperiment, RunErrorsReachTheCaller) {
+  TriadExperiment exp = small_experiment();
+  exp.machine.background_start_banks = {99};  // every contended run rejects it
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    try {
+      static_cast<void>(run_triad_experiment(exp, workers));
+      ADD_FAILURE() << "expected vpmem::Error with " << workers << " workers";
+    } catch (const vpmem::Error& e) {
+      EXPECT_EQ(e.code(), vpmem::ErrorCode::config_invalid);
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 // and resumed to byte-identical results, a sandboxed campaign quarantines
 // a deliberately crashing point while every other point completes, and
 // SIGINT drains into a valid "interrupted" envelope with exit code 7.
-// Malformed numeric arguments exit 3 (config_invalid) with an envelope.
+// Malformed numeric arguments and bad X-MP inputs exit 3
+// (config_invalid), runs that outrun their cycle budget exit 5
+// (deadline_exceeded), each with an envelope.
 // This file forks and execs, so it carries the "fork" ctest label and is
 // excluded from the ThreadSanitizer pass.
 #include <gtest/gtest.h>
@@ -233,6 +235,37 @@ TEST(CliArguments, MalformedNumbersAreRejectedAsConfigInvalid) {
   }
   // Well-formed values still run.
   EXPECT_EQ(run_cli({"fuzz", "20", "--jobs", "2", "--seed", "0x20250807", "--cycles", "64"}), 0);
+}
+
+TEST(CliArguments, TypedRunFailuresExitWithTheirCode) {
+  // Bad X-MP inputs are config_invalid (exit 3); a finite trace or report
+  // that outruns its cycle budget is deadline_exceeded (exit 5).  Either
+  // way --json leaves an error envelope carrying the code.
+  TempDir dir{"typed"};
+  struct Case {
+    std::vector<std::string> args;
+    int exit_code;
+    std::string code;
+  };
+  const std::vector<Case> cases{
+      {{"triad", "0", "1"}, 3, "config_invalid"},
+      {{"kernel", "triad", "64", "0"}, 3, "config_invalid"},
+      {{"trace", "8", "2", "1", "--length", "2000000", "--out", dir.file("t.json")},
+       5,
+       "deadline_exceeded"},
+      {{"report", "8", "2", "1", "--length", "2000000"}, 5, "deadline_exceeded"},
+  };
+  for (const Case& c : cases) {
+    std::string label;
+    for (const auto& a : c.args) label += a + ' ';
+    const std::string envelope = dir.file("error.json");
+    std::vector<std::string> args = c.args;
+    args.insert(args.end(), {"--json", envelope});
+    ASSERT_EQ(run_cli(args), c.exit_code) << label;
+    const Json doc = Json::parse(slurp(envelope));
+    EXPECT_EQ(doc.at("error").at("code").as_string(), c.code) << label;
+    fs::remove(envelope);
+  }
 }
 
 }  // namespace

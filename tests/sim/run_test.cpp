@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "vpmem/sim/fault.hpp"
 #include "vpmem/sim/memory_system.hpp"
 #include "vpmem/util/error.hpp"
@@ -85,13 +87,19 @@ TEST(RunResult, EmptyBandwidthIsZero) {
   EXPECT_DOUBLE_EQ(r.bandwidth(), 0.0);
 }
 
-// ---- guarded driver -------------------------------------------------------
+// ---- drive: the one step loop -------------------------------------------
 
-TEST(RunGuarded, CompletesLikeRunToCompletion) {
+GuardedRun drive_fresh(const MemoryConfig& cfg, const std::vector<StreamConfig>& streams,
+                       const FaultPlan& plan = {}, const Watchdog& watchdog = {}) {
+  MemorySystem mem{cfg, streams, plan};
+  return drive(mem, watchdog);
+}
+
+TEST(Drive, CompletesLikeRunToCompletion) {
   const std::vector<StreamConfig> streams{
       StreamConfig{.start_bank = 0, .distance = 4, .length = 64}};
   const RunResult plain = run_to_completion(flat(8, 4), streams);
-  const GuardedRun guarded = run_guarded(flat(8, 4), streams);
+  const GuardedRun guarded = drive_fresh(flat(8, 4), streams);
   EXPECT_TRUE(guarded.ok());
   EXPECT_EQ(guarded.status, RunStatus::completed);
   EXPECT_EQ(guarded.result.cycles, plain.cycles);
@@ -100,9 +108,9 @@ TEST(RunGuarded, CompletesLikeRunToCompletion) {
   EXPECT_EQ(guarded.last_grant_cycle, plain.cycles - 1);
 }
 
-TEST(RunGuarded, DeadlineReturnsPartialResultInsteadOfThrowing) {
+TEST(Drive, DeadlineReturnsPartialResultInsteadOfThrowing) {
   const Watchdog dog{.max_cycles = 10};
-  const GuardedRun run = run_guarded(
+  const GuardedRun run = drive_fresh(
       flat(8, 4), {StreamConfig{.start_bank = 0, .distance = 1, .length = 100}}, {}, dog);
   EXPECT_FALSE(run.ok());
   EXPECT_EQ(run.status, RunStatus::deadline_exceeded);
@@ -111,7 +119,7 @@ TEST(RunGuarded, DeadlineReturnsPartialResultInsteadOfThrowing) {
   EXPECT_FALSE(run.detail.empty());
 }
 
-TEST(RunGuarded, PermanentBankOutageUnderStallIsLivelock) {
+TEST(Drive, PermanentBankOutageUnderStallIsLivelock) {
   // The stream parks on the dead bank forever; no grant can ever happen
   // again, so the watchdog must flag livelock within its documented
   // window (factor * nc * m cycles past the last grant).
@@ -121,7 +129,7 @@ TEST(RunGuarded, PermanentBankOutageUnderStallIsLivelock) {
   const MemoryConfig cfg = flat(8, 2);
   const Watchdog dog{.max_cycles = 100'000, .livelock_factor = 4};
   const GuardedRun run =
-      run_guarded(cfg, {StreamConfig{.start_bank = 0, .distance = 1, .length = 64}}, plan, dog);
+      drive_fresh(cfg, {StreamConfig{.start_bank = 0, .distance = 1, .length = 64}}, plan, dog);
   EXPECT_EQ(run.status, RunStatus::livelock);
   EXPECT_EQ(run.last_grant_cycle, 3);  // banks 0..3 granted, then stuck on bank 4
   // Detected within the documented bound, well before the cycle budget.
@@ -129,67 +137,96 @@ TEST(RunGuarded, PermanentBankOutageUnderStallIsLivelock) {
   EXPECT_FALSE(run.detail.empty());
 }
 
-TEST(RunGuarded, RejectsInfiniteStreams) {
-  try {
-    static_cast<void>(run_guarded(flat(8, 2), {StreamConfig{.distance = 1}}));
-    FAIL() << "expected vpmem::Error";
-  } catch (const vpmem::Error& e) {
-    EXPECT_EQ(e.code(), vpmem::ErrorCode::config_invalid);
-  }
-}
-
-TEST(RunGuardedOn, DelayedStartDoesNotTriggerLivelock) {
+TEST(Drive, DelayedStartDoesNotTriggerLivelock) {
   // A stream that starts late must not be mistaken for a livelock even
   // though no grant happens before its start cycle.
   const MemoryConfig cfg = flat(4, 2);
   const i64 late = 4 * Watchdog{}.livelock_window(cfg);
-  MemorySystem mem{cfg,
-                   {StreamConfig{.start_bank = 0, .distance = 1, .length = 8, .start_cycle = late}}};
-  const GuardedRun run = run_guarded_on(mem);
+  const GuardedRun run = drive_fresh(
+      cfg, {StreamConfig{.start_bank = 0, .distance = 1, .length = 8, .start_cycle = late}});
   EXPECT_EQ(run.status, RunStatus::completed);
   EXPECT_EQ(run.result.total_grants(), 8);
 }
 
-TEST(MeasureBandwidthGuarded, MatchesPlainMeasurementWhenHealthy) {
+TEST(Drive, HorizonStopsInfiniteStreamsAndMatchesMeasureBandwidth) {
   const std::vector<StreamConfig> streams{StreamConfig{.distance = 3}};
   const double plain = measure_bandwidth(flat(8, 2), streams, 64, 512);
-  const BandwidthMeasurement guarded = measure_bandwidth_guarded(flat(8, 2), streams, 64, 512);
-  EXPECT_TRUE(guarded.ok());
-  EXPECT_EQ(guarded.cycles, 512);
-  EXPECT_DOUBLE_EQ(guarded.bandwidth(), plain);
+  MemorySystem mem{flat(8, 2), streams};
+  const GuardedRun warm = drive(mem, {}, {.horizon = 64});
+  const GuardedRun run = drive(mem, {}, {.horizon = 64 + 512});
+  EXPECT_TRUE(run.ok());
+  EXPECT_EQ(run.result.cycles, 512);  // cycles driven by this call
+  EXPECT_DOUBLE_EQ(
+      static_cast<double>(run.result.total_grants() - warm.result.total_grants()) / 512.0,
+      plain);
 }
 
-TEST(MeasureBandwidthGuarded, LivelockedWindowReportsZeroGrantsNotHang) {
+TEST(Drive, LivelockedWindowStopsEarlyNotHang) {
   FaultPlan plan;
   plan.policy = FaultPolicy::stall;
   plan.events.push_back(FaultEvent{.kind = FaultEvent::Kind::bank_offline, .cycle = 0, .bank = 0});
-  const BandwidthMeasurement bw =
-      measure_bandwidth_guarded(flat(8, 2), {StreamConfig{.start_bank = 0, .distance = 0}},
-                                /*warmup=*/16, /*window=*/1000, plan);
-  EXPECT_FALSE(bw.ok());
-  EXPECT_EQ(bw.status, RunStatus::livelock);
-  EXPECT_EQ(bw.grants, 0);
-  EXPECT_DOUBLE_EQ(bw.bandwidth(), 0.0);
+  const MemoryConfig cfg = flat(8, 2);
+  MemorySystem mem{cfg, {StreamConfig{.start_bank = 0, .distance = 0}}, plan};
+  const GuardedRun run = drive(mem, {}, {.horizon = 1016});
+  EXPECT_EQ(run.status, RunStatus::livelock);
+  EXPECT_EQ(run.last_grant_cycle, -1);
+  EXPECT_EQ(run.result.total_grants(), 0);
+  EXPECT_EQ(run.result.cycles, Watchdog{}.livelock_window(cfg) + 1);
 }
 
-TEST(MeasureBandwidthGuarded, ZeroCycleMeasurementHasZeroBandwidth) {
-  // A run cut down before the window opens must divide by zero nowhere.
-  FaultPlan plan;
-  plan.policy = FaultPolicy::stall;
-  plan.events.push_back(FaultEvent{.kind = FaultEvent::Kind::bank_offline, .cycle = 0, .bank = 0});
-  const Watchdog dog{.max_cycles = 8, .livelock_factor = 0};  // factor 0 disables livelock check
-  const BandwidthMeasurement bw = measure_bandwidth_guarded(
-      flat(8, 2), {StreamConfig{.start_bank = 0, .distance = 0}}, /*warmup=*/64,
-      /*window=*/1000, plan, dog);
-  EXPECT_EQ(bw.status, RunStatus::deadline_exceeded);
-  EXPECT_EQ(bw.cycles, 0);
-  EXPECT_DOUBLE_EQ(bw.bandwidth(), 0.0);
+TEST(Drive, UntilFinishedOffKeepsSteppingFinishedStreams) {
+  MemorySystem mem{flat(8, 2), {StreamConfig{.start_bank = 0, .distance = 1, .length = 4}}};
+  const GuardedRun run = drive(mem, {}, {.horizon = 100, .until_finished = false});
+  EXPECT_TRUE(run.ok());  // finished streams request nothing: no livelock
+  EXPECT_EQ(mem.now(), 100);
+  EXPECT_EQ(run.result.total_grants(), 4);
+}
+
+TEST(Drive, CallerPredicateStopsAfterTheStep) {
+  MemorySystem mem{flat(8, 2), {StreamConfig{.distance = 1}}};
+  i64 calls = 0;
+  const GuardedRun run = drive(mem, {}, {}, [&](const MemorySystem& m) {
+    ++calls;
+    return m.now() == 7;
+  });
+  EXPECT_TRUE(run.ok());
+  EXPECT_EQ(calls, 7);
+  EXPECT_EQ(mem.now(), 7);
+  EXPECT_EQ(run.last_grant_cycle, 6);
+}
+
+TEST(Drive, CancelFlagInterruptsBeforeTheFirstStep) {
+  std::atomic<bool> cancelled{true};
+  const GuardedRun run = drive_fresh(
+      flat(8, 2), {StreamConfig{.start_bank = 0, .distance = 1, .length = 64}}, {},
+      Watchdog{.cancel = &cancelled});
+  EXPECT_EQ(run.status, RunStatus::interrupted);
+  EXPECT_EQ(run.result.cycles, 0);
+  EXPECT_EQ(run.result.total_grants(), 0);
+}
+
+TEST(Drive, ZeroBudgetStopsAtOnce) {
+  // Livelock off, budget 0: the run stops before any step.
+  const GuardedRun run =
+      drive_fresh(flat(8, 2), {StreamConfig{.start_bank = 0, .distance = 0, .length = 8}}, {},
+                  Watchdog{.max_cycles = 0, .livelock_factor = 0});
+  EXPECT_EQ(run.status, RunStatus::deadline_exceeded);
+  EXPECT_EQ(run.result.cycles, 0);
+  EXPECT_DOUBLE_EQ(run.result.bandwidth(), 0.0);
+}
+
+TEST(Drive, LastStepGrantsCountsTheStepsGrants) {
+  MemorySystem mem{flat(8, 2), two_streams(0, 1, 4, 1)};
+  EXPECT_EQ(mem.last_step_grants(), 0u);
+  mem.step();
+  EXPECT_EQ(mem.last_step_grants(), 2u);
 }
 
 TEST(RunStatus, ToString) {
   EXPECT_EQ(to_string(RunStatus::completed), "completed");
   EXPECT_EQ(to_string(RunStatus::deadline_exceeded), "deadline_exceeded");
   EXPECT_EQ(to_string(RunStatus::livelock), "livelock");
+  EXPECT_EQ(to_string(RunStatus::interrupted), "interrupted");
 }
 
 }  // namespace

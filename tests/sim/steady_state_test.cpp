@@ -2,20 +2,35 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
 #include <tuple>
 
 #include "vpmem/analytic/stream.hpp"
 #include "vpmem/sim/run.hpp"
+#include "vpmem/util/error.hpp"
 
 namespace vpmem::sim {
 namespace {
 
 MemoryConfig flat(i64 m, i64 nc) { return MemoryConfig{.banks = m, .sections = m, .bank_cycle = nc}; }
 
+/// Code of the vpmem::Error `fn` throws; nullopt if it returns.
+std::optional<ErrorCode> error_code(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.code();
+  }
+  return std::nullopt;
+}
+
 TEST(SteadyState, RejectsFiniteStreams) {
-  EXPECT_THROW(static_cast<void>(
-      find_steady_state(flat(8, 2), {StreamConfig{.start_bank = 0, .distance = 1, .length = 5}})),
-      std::invalid_argument);
+  EXPECT_EQ(error_code([] {
+              (void)find_steady_state(flat(8, 2),
+                                      {StreamConfig{.start_bank = 0, .distance = 1, .length = 5}});
+            }),
+            ErrorCode::config_invalid);
 }
 
 TEST(SteadyState, SingleConflictFreeStream) {
@@ -70,7 +85,8 @@ TEST(SteadyState, MatchesWindowedMeasurement) {
 }
 
 TEST(SteadyState, GuardTriggersOnTinyBudget) {
-  EXPECT_THROW(static_cast<void>(find_steady_state(flat(12, 3), two_streams(0, 1, 0, 7), 2)), std::runtime_error);
+  EXPECT_EQ(error_code([] { (void)find_steady_state(flat(12, 3), two_streams(0, 1, 0, 7), 2); }),
+            ErrorCode::deadline_exceeded);
 }
 
 TEST(OffsetSweep, SynchronizedPairIsOffsetIndependent) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+
+#include "vpmem/util/error.hpp"
+
 namespace vpmem::xmp {
 namespace {
 
@@ -11,12 +16,22 @@ i64 total_grants(const TriadResult& r) {
   return g;
 }
 
+/// Code of the vpmem::Error `fn` throws; nullopt if it returns.
+std::optional<ErrorCode> error_code(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.code();
+  }
+  return std::nullopt;
+}
+
 TEST(KernelSpec, Validation) {
   EXPECT_NO_THROW(triad_kernel().validate());
   KernelSpec bad{.name = "bad", .loads = -1, .store = true};
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  EXPECT_EQ(error_code([&] { bad.validate(); }), ErrorCode::config_invalid);
   KernelSpec empty{.name = "empty", .loads = 0, .store = false};
-  EXPECT_THROW(empty.validate(), std::invalid_argument);
+  EXPECT_EQ(error_code([&] { empty.validate(); }), ErrorCode::config_invalid);
 }
 
 TEST(Kernels, CatalogShapes) {
@@ -95,7 +110,7 @@ TEST(RunKernel, SelfConflictingStrideHurtsEveryKernel) {
 TEST(RunKernel, GatherValidation) {
   KernelSpec bad = gather_kernel();
   bad.loads = 1;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  EXPECT_EQ(error_code([&] { bad.validate(); }), ErrorCode::config_invalid);
 }
 
 TEST(RunKernel, GatherTransfersEveryElement) {

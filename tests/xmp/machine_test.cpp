@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
+#include <optional>
+
+#include "vpmem/util/error.hpp"
 
 namespace vpmem::xmp {
 namespace {
@@ -101,23 +105,33 @@ TEST(RunTriad, CyclesPerElement) {
   EXPECT_DOUBLE_EQ(r.cycles_per_element(0), 0.0);
 }
 
+/// Code of the vpmem::Error `fn` throws; nullopt if it returns.
+std::optional<ErrorCode> error_code(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.code();
+  }
+  return std::nullopt;
+}
+
 TEST(RunTriad, Validation) {
   XmpConfig cfg;
   TriadSetup setup;
   setup.n = 0;
-  EXPECT_THROW(static_cast<void>(run_triad(cfg, setup, false)), std::invalid_argument);
+  EXPECT_EQ(error_code([&] { (void)run_triad(cfg, setup, false); }), ErrorCode::config_invalid);
   setup.n = 64;
   setup.inc = 0;
-  EXPECT_THROW(static_cast<void>(run_triad(cfg, setup, false)), std::invalid_argument);
+  EXPECT_EQ(error_code([&] { (void)run_triad(cfg, setup, false); }), ErrorCode::config_invalid);
   setup.inc = 1;
   setup.idim = 0;
-  EXPECT_THROW(static_cast<void>(run_triad(cfg, setup, false)), std::invalid_argument);
+  EXPECT_EQ(error_code([&] { (void)run_triad(cfg, setup, false); }), ErrorCode::config_invalid);
   setup.idim = 1;
   cfg.vector_length = 0;
-  EXPECT_THROW(static_cast<void>(run_triad(cfg, setup, false)), std::invalid_argument);
+  EXPECT_EQ(error_code([&] { (void)run_triad(cfg, setup, false); }), ErrorCode::config_invalid);
   cfg.vector_length = 64;
   cfg.background_start_banks = {99};
-  EXPECT_THROW(static_cast<void>(run_triad(cfg, setup, true)), std::invalid_argument);
+  EXPECT_EQ(error_code([&] { (void)run_triad(cfg, setup, true); }), ErrorCode::config_invalid);
 }
 
 TEST(RunTriad, SmallVectorLengthStillCorrect) {

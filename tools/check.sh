@@ -11,7 +11,8 @@
 # The sanitizer pass rebuilds into build-asan/ with -fsanitize=address,undefined
 # (VPMEM_SANITIZE=ON) and reruns the sim + obs + check test binaries, which
 # exercise the event-hook multiplexer, the Collector's raw-pointer hot path
-# and the reference model's event-log scans.
+# and the reference model's event-log scans, plus the run corpus and the
+# X-MP kernel grid, which take every run entry point through sim::drive.
 #
 # The TSan pass rebuilds into build-tsan/ with -fsanitize=thread
 # (VPMEM_SANITIZE_THREAD=ON) and runs `ctest -LE fork`: everything except
@@ -65,9 +66,10 @@ cmake --build build-asan -j "$jobs" --target \
   obs_metrics_test obs_collector_test \
   obs_report_test obs_timer_test obs_attribution_test obs_tracer_test \
   check_reference_model_test check_differential_fuzz_test check_replay_test \
-  check_fault_plan_fuzz_test check_live_ports_test
+  check_fault_plan_fuzz_test check_live_ports_test obs_run_corpus_test \
+  xmp_kernel_grid_test
 ctest --test-dir build-asan --output-on-failure -j "$jobs" -R \
-  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz|check_live_ports)'
+  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz|check_live_ports|xmp_kernel_grid)'
 
 echo "== sanitizer pass: TSan on everything but the fork-labelled suites =="
 cmake -B build-tsan -S . -DVPMEM_SANITIZE_THREAD=ON >/dev/null
