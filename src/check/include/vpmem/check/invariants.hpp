@@ -15,7 +15,8 @@
 //     produce mutual delays in the steady cycle.
 //   * Theorems 6/7 + eq. 29: a unique barrier means b_eff = 1 + d1/d2
 //     from every start offset.
-//   * obs::Collector event-derived statistics == MemorySystem counters.
+//   * collector_totals: statistics recounted from the event stream by an
+//     obs::ConflictAttribution fold == MemorySystem counters.
 //   * Start-bank translation and global start-cycle shifts leave the
 //     steady-state bandwidth unchanged (bank/time relabelings).
 //   * Capacity bounds: b_eff <= p and b_eff * nc <= m, per-port shares
@@ -55,7 +56,7 @@ struct InvariantReport {
                                                const std::vector<sim::StreamConfig>& streams,
                                                const InvariantOptions& options = {});
 
-/// Field-by-field PortStats comparison used by the collector check;
+/// Field-by-field PortStats comparison used by the collector_totals check;
 /// exposed so the failure path is unit-testable.  Returns an empty string
 /// when equal, else a description of the first differing field.
 [[nodiscard]] std::string compare_port_stats(const sim::PortStats& simulator,

@@ -71,7 +71,7 @@ class ReferenceModel {
   [[nodiscard]] std::size_t port_count() const noexcept { return streams_.size(); }
 
   /// Every grant and per-period conflict, in arbitration order — directly
-  /// comparable with the events MemorySystem emits through its hooks.
+  /// comparable with the events MemorySystem pushes to its recorders.
   [[nodiscard]] const std::vector<sim::Event>& events() const noexcept { return log_; }
 
   /// Per-port statistics recomputed from the event log alone (grants,

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "vpmem/sim/event_buffer.hpp"
 #include "vpmem/sim/memory_system.hpp"
 
 namespace vpmem::check {
@@ -60,35 +61,42 @@ DiffResult diff_run(const sim::MemoryConfig& config,
   DiffResult out;
 
   sim::MemorySystem mem{config, streams, plan};
-  std::vector<sim::Event> sim_events;
-  mem.add_event_hook([&sim_events](const sim::Event& e) { sim_events.push_back(e); });
-  mem.run(cycles, /*stop_when_finished=*/false);
-
   ReferenceModel ref{config, streams, fault, plan};
   ref.run(cycles);
-
   const std::vector<sim::Event>& ref_events = ref.events();
-  const std::size_t n = std::min(sim_events.size(), ref_events.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!same_event(sim_events[i], ref_events[i])) {
-      out.agreed = false;
-      out.message = "event " + std::to_string(i) + " diverges: sim {" +
-                    describe(sim_events[i]) + "} vs reference {" + describe(ref_events[i]) +
-                    "}";
-      out.events_compared = static_cast<i64>(i);
-      return out;
+
+  // Compare the simulator's events against the reference's as they are
+  // recorded: no simulator event log is kept, and the first mismatch
+  // (a divergence or an event beyond the reference's) stops the scan.
+  std::size_t n = 0;  ///< simulator events matched so far
+  sim::EventRecorder recorder{mem, nullptr, sim::sink_capacity(streams.size(), cycles)};
+  recorder.buffer().set_chunk_sink([&](std::span<const sim::PackedEvent> events) {
+    for (const sim::PackedEvent& packed : events) {
+      if (!out.agreed) return;
+      const sim::Event e = packed.unpack();
+      if (n == ref_events.size()) {
+        out.agreed = false;
+        out.message = "simulator produced extra event " + std::to_string(n) + ": {" +
+                      describe(e) + "}";
+      } else if (!same_event(e, ref_events[n])) {
+        out.agreed = false;
+        out.message = "event " + std::to_string(n) + " diverges: sim {" + describe(e) +
+                      "} vs reference {" + describe(ref_events[n]) + "}";
+      } else {
+        ++n;
+      }
     }
-  }
-  if (sim_events.size() != ref_events.size()) {
+  });
+  mem.run(cycles, /*stop_when_finished=*/false);
+  recorder.buffer().flush();
+  out.events_compared = static_cast<i64>(n);
+  if (!out.agreed) return out;
+  if (n != ref_events.size()) {
     out.agreed = false;
-    const bool sim_longer = sim_events.size() > ref_events.size();
-    const sim::Event& extra = sim_longer ? sim_events[n] : ref_events[n];
-    out.message = std::string{sim_longer ? "simulator" : "reference"} +
-                  " produced extra event " + std::to_string(n) + ": {" + describe(extra) + "}";
-    out.events_compared = static_cast<i64>(n);
+    out.message = "reference produced extra event " + std::to_string(n) + ": {" +
+                  describe(ref_events[n]) + "}";
     return out;
   }
-  out.events_compared = static_cast<i64>(n);
 
   const std::vector<sim::PortStats> sim_stats = mem.all_stats();
   const std::vector<sim::PortStats> ref_stats = ref.stats();

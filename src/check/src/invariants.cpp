@@ -7,7 +7,8 @@
 
 #include "vpmem/analytic/stream.hpp"
 #include "vpmem/analytic/theorems.hpp"
-#include "vpmem/obs/collector.hpp"
+#include "vpmem/obs/attribution.hpp"
+#include "vpmem/sim/event_buffer.hpp"
 #include "vpmem/sim/memory_system.hpp"
 #include "vpmem/sim/run.hpp"
 #include "vpmem/sim/steady_state.hpp"
@@ -154,13 +155,17 @@ InvariantReport check_invariants(const sim::MemoryConfig& config,
     });
   }
 
-  // --- Collector: event-derived stats == simulator counters --------------
+  // --- collector_totals: event-derived stats == simulator counters -------
   if (!streams.empty()) {
     runner.run("collector_totals", [&](std::ostringstream& fail) {
       sim::MemorySystem mem{config, streams};
-      obs::Collector collector{mem};
+      obs::ConflictAttribution collector{config};
+      sim::EventRecorder recorder{mem, nullptr, sim::sink_capacity(streams.size(), options.cycles)};
+      recorder.buffer().set_chunk_sink(
+          [&collector](std::span<const sim::PackedEvent> events) { collector.observe(events); });
       mem.run(options.cycles, /*stop_when_finished=*/false);
-      collector.finish();
+      recorder.buffer().flush();
+      collector.finalize(mem.now(), mem.port_count());
       const auto from_sim = mem.all_stats();
       const auto from_events = collector.port_stats();
       for (std::size_t p = 0; p < from_sim.size(); ++p) {

@@ -6,18 +6,28 @@
 // charged to the bank it stalled on, the conflict kind of that period,
 // and the stream that held the contended resource.
 //
-// The analyzer folds *online* — observe() is O(1) per event and the state
-// is O(ports x banks), independent of run length — so it can ride the
-// event-hook multiplexer next to a bounded trace buffer without ever
-// dropping attribution precision, even when the buffer evicts old events.
+// The same fold recounts the run's statistics from the events alone:
+// per-port grants, first/last grant cycle and stall runs, per-bank grants
+// and the stall-length histogram.  The per-kind conflict counters are row
+// sums of the lost-cycle matrix, so nothing is counted twice.  Because the
+// fold never reads the simulator's own counters, port_stats() equaling
+// MemorySystem::all_stats() is a real invariant check (the obs tests and
+// check's collector_totals on the paper's configurations).
+//
+// The fold is online — observe() is O(1) per event and the state is
+// O(ports x banks), independent of run length — and rides an EventBuffer
+// chunk sink (sim::EventRecorder, obs::Tracer), so it never loses
+// precision when a bounded trace buffer evicts old events.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
+#include "vpmem/obs/metrics.hpp"
 #include "vpmem/sim/config.hpp"
 #include "vpmem/sim/event.hpp"
 #include "vpmem/sim/event_buffer.hpp"
@@ -70,31 +80,32 @@ struct AttributionOptions {
   std::size_t max_episodes = 4096;
 };
 
-/// Online event-stream analyzer.  Feed events in emission order (attach
-/// via MemorySystem::add_event_hook or replay a recorded buffer), then
+/// Online event-stream analyzer.  Feed events in emission order as an
+/// EventBuffer chunk sink (or replay a recorded buffer), then
 /// finalize(end_cycle) once the run's observation window closes.
 class ConflictAttribution {
  public:
   explicit ConflictAttribution(const sim::MemoryConfig& config, AttributionOptions options = {});
 
-  /// Fold one event.  Events must arrive in non-decreasing cycle order.
-  void observe(const sim::Event& e);
-
-  /// Fold a batch of recorded events, in order (an EventBuffer chunk
-  /// sink): the same fold as observe(Event) per element.
+  /// Fold a batch of recorded events, in order.  Events must arrive in
+  /// non-decreasing cycle order.  Throws std::logic_error after
+  /// finalize().
   void observe(std::span<const sim::PackedEvent> events);
 
-  /// Close open episodes and the final (possibly partial) b_eff window.
-  /// `end_cycle` is the exclusive end of the observed window.  Idempotent
-  /// in the sense that observe() must not be called afterwards.
-  void finalize(i64 end_cycle);
+  /// Close open episodes, open stall runs and the final (possibly
+  /// partial) b_eff window, and fill registry().  `end_cycle` is the
+  /// exclusive end of the observed window; `ports` pads port_stats() to
+  /// the run's port count (a port that never produced an event still
+  /// exists, with all-zero stats).  Idempotent; observe() must not be
+  /// called afterwards.
+  void finalize(i64 end_cycle, std::size_t ports = 0);
 
   [[nodiscard]] std::size_t port_count() const noexcept { return ports_.size(); }
 
   /// Lost cycles of `port` at `bank` due to conflicts of kind `k`.
   [[nodiscard]] i64 lost_cycles(std::size_t port, i64 bank, sim::ConflictKind kind) const;
   /// Row sum over banks: must equal the stream's PortStats delay counter
-  /// of the same kind (the Collector-style cross-check invariant).
+  /// of the same kind.
   [[nodiscard]] i64 lost_cycles(std::size_t port, sim::ConflictKind kind) const;
   /// All three row sums of one stream; equals the stream's PortStats
   /// {bank,simultaneous,section}_conflicts field-for-field.
@@ -118,12 +129,42 @@ class ConflictAttribution {
   [[nodiscard]] i64 end_cycle() const noexcept { return end_cycle_; }
   [[nodiscard]] i64 total_grants() const noexcept { return total_grants_; }
 
+  /// Per-port statistics recounted from events alone (conflict counters
+  /// are the lost-cycle row sums).  After finalize(end, ports) it matches
+  /// MemorySystem::all_stats() field-for-field.
+  [[nodiscard]] std::vector<sim::PortStats> port_stats() const;
+
+  /// Grants per bank, recounted from events.
+  [[nodiscard]] const std::vector<i64>& bank_grants() const noexcept { return bank_grants_; }
+
+  /// Distribution of stall-run lengths in clock periods, including the
+  /// runs still open at the end (valid after finalize()).
+  [[nodiscard]] const Histogram& stall_lengths() const noexcept { return stall_lengths_; }
+
+  /// The run's metrics, filled by finalize():
+  ///   counters   grants, conflicts.bank / .simultaneous / .section / .fault
+  ///   histograms stall_length, bank_grants (distribution of per-bank
+  ///              grant counts)
+  ///   gauges     bank_utilization, hottest_bank — registered at 0; the
+  ///              bank-level view lives in the engine, so the caller sets
+  ///              them (report_run does).
+  [[nodiscard]] const MetricsRegistry& registry() const noexcept { return registry_; }
+  [[nodiscard]] MetricsRegistry& registry() noexcept { return registry_; }
+
+  /// The metrics block: registry().to_json() plus per-port ("ports") and
+  /// per-bank ("bank_grants_by_bank") breakdowns.
+  [[nodiscard]] Json metrics_json() const;
+
   /// The attribution summary block (schema vpmem.attribution/1): grand
   /// totals, per-port lost-cycle matrices (non-zero banks only),
   /// stream-vs-stream blame, episodes and the b_eff(t) series.
   [[nodiscard]] Json to_json() const;
 
  private:
+  /// PortFold::open.last while no episode is open: far enough in the past
+  /// that any delay is more than the merge gap after it, without overflow.
+  static constexpr i64 kNoEpisode = std::numeric_limits<i64>::min() / 2;
+
   struct PortFold {
     /// banks * kConflictKinds lost-cycle cells, indexed
     /// bank * kConflictKinds + kind.  Per-kind and grand totals are row
@@ -131,32 +172,38 @@ class ConflictAttribution {
     /// per (bank, kind).
     std::vector<i64> by_bank_kind;
     std::vector<i64> by_blocker;  ///< grown to the highest blocker seen
-    // Open-episode state.
-    bool episode_open = false;
-    BarrierEpisode open;
-    /// open.kinds folded kind-indexed (no switch on the hot path).
+    /// The open episode; open.last == kNoEpisode when none is open.  Its
+    /// lost cycles and kinds are kept in open_kinds (kind-indexed, no
+    /// switch on the hot path) and summed when it closes.
+    BarrierEpisode open{.last = kNoEpisode, .banks = {}, .kinds = {}};
     std::array<i64, sim::kConflictKinds> open_kinds{};
     /// Per-bank "already in the open episode" flags — keeps the banks list
     /// deduplicated in O(1) per conflict (sorted only on close).
     std::vector<std::uint8_t> bank_in_episode;
   };
 
-  PortFold& fold_for(std::size_t port);
   void grow_ports(std::size_t port);
   void close_episode(PortFold& fold);
   void enter_window(i64 cycle);
-  /// Grant step of the fold: `pending` counts grants of window
-  /// cur_window_ not yet added to window_grants_ and total_grants_
-  /// (callers batch them; add_grants() flushes).
-  void fold_grant(i64 cycle, i64& pending);
-  void add_grants(i64& pending);
-  void fold_conflict(i64 cycle, std::size_t port, i64 bank, std::size_t kind,
-                     std::size_t blocker);
+  void fold_conflict(PortFold& fold, const sim::PackedEvent& e, i64 gap);
+  [[nodiscard]] sim::ConflictTotals grand_totals() const;
 
   sim::MemoryConfig config_;
   AttributionOptions options_;
   i64 gap_;
-  std::vector<PortFold> ports_;
+  std::vector<PortFold> ports_;  ///< grown to the highest port with a conflict
+  /// Event-derived per-port statistics, grown to the highest port seen.
+  /// The conflict counters stay 0 here (port_stats() fills them from the
+  /// row sums), and longest_stall covers completed stall runs only.
+  std::vector<sim::PortStats> stats_;
+  std::vector<i64> bank_grants_;
+  /// Completed stall runs shorter than kShortStalls, counted by length
+  /// (index 0 counts the grants no stall preceded); finalize() adds them
+  /// to stall_lengths_, which takes the longer runs as they end.
+  static constexpr i64 kShortStalls = 64;
+  std::array<i64, kShortStalls> short_stalls_{};
+  Histogram stall_lengths_;
+  MetricsRegistry registry_;  ///< built by finalize()
   /// A closed episode kept for episodes(), stored flat so that closing
   /// one allocates nothing; its banks are closed_banks_[banks_begin,
   /// banks_end).  finalize() builds episodes_ from these.

@@ -47,8 +47,9 @@ class Gauge {
 /// buckets cover the whole i64 range.
 class Histogram {
  public:
-  /// Record one sample; negative values clamp to 0.
-  void record(i64 value);
+  /// Record `times` samples of `value` (times >= 1); negative values
+  /// clamp to 0.
+  void record(i64 value, i64 times = 1);
 
   [[nodiscard]] i64 count() const noexcept { return count_; }
   [[nodiscard]] i64 sum() const noexcept { return sum_; }
@@ -90,8 +91,8 @@ class Histogram {
 };
 
 /// Insertion-ordered collection of named metrics.  Names are free-form;
-/// the convention used by the Collector is dotted paths such as
-/// "conflicts.bank" or "port.0.grants".  Re-requesting a name returns the
+/// the convention (ConflictAttribution::registry()) is dotted paths such
+/// as "conflicts.bank".  Re-requesting a name returns the
 /// existing metric; requesting an existing name as a different kind
 /// throws std::invalid_argument.
 class MetricsRegistry {

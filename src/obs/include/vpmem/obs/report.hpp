@@ -70,7 +70,7 @@ struct RunReport {
   i64 hottest_bank = 0;
 
   std::optional<SteadyStateReport> steady_state;  ///< infinite streams only
-  Json metrics;  ///< Collector registry snapshot (histograms etc.)
+  Json metrics;  ///< ConflictAttribution::metrics_json() (histograms etc.)
   /// ConflictAttribution summary over the observed window (schema
   /// vpmem.attribution/1); null when ReportOptions::attribution is off.
   /// Carried verbatim through a JSON round-trip, like `metrics`.
@@ -103,13 +103,15 @@ struct ReportOptions {
   /// Fold a ConflictAttribution over the observed window and embed its
   /// summary block (RunReport::attribution).
   bool attribution = true;
-  /// b_eff(t) window for the embedded attribution.
+  /// b_eff(t) window for the embedded attribution; must be > 0 (the fold
+  /// runs either way, since it also fills `metrics`).
   i64 attribution_window = 64;
 };
 
-/// Run `streams` on `config` with a Collector attached and produce the
-/// full report.  For all-infinite streams this also performs exact
-/// steady-state detection (kind = "steady_state"); otherwise the workload
+/// Run `streams` on `config` with an event recorder feeding a
+/// ConflictAttribution fold and produce the full report.  For
+/// all-infinite streams this also performs exact steady-state detection
+/// (kind = "steady_state"); otherwise the workload
 /// runs to completion (kind = "finite_run").  Mixed finite/infinite
 /// workloads are rejected (vpmem::Error{config_invalid}); a finite run
 /// that does not finish within options.max_cycles throws

@@ -42,8 +42,9 @@ struct TracerOptions {
   i64 episode_gap = 0;
 };
 
-/// Lifecycle: construct before running (attaches the hook), step the
-/// system, call finish() (detaches, finalizes attribution), then export.
+/// Lifecycle: construct before running (attaches the buffer as a
+/// recorder), step the system, call finish() (detaches, finalizes
+/// attribution), then export.
 /// The destructor calls finish() if it has not run yet.
 class Tracer {
  public:
@@ -55,7 +56,7 @@ class Tracer {
   Tracer(Tracer&&) = delete;
   Tracer& operator=(Tracer&&) = delete;
 
-  /// Detach the hook and finalize the attribution at the current clock.
+  /// Detach the recorder and finalize the attribution at the current clock.
   /// Idempotent; no further events are recorded afterwards.
   void finish();
 

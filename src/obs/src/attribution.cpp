@@ -3,27 +3,16 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "vpmem/obs/report.hpp"
+
 namespace vpmem::obs {
-
-namespace {
-
-Json json_of_totals(const sim::ConflictTotals& t) {
-  Json out = Json::object();
-  out["bank"] = t.bank;
-  out["simultaneous"] = t.simultaneous;
-  out["section"] = t.section;
-  out["fault"] = t.fault;
-  out["total"] = t.total();
-  return out;
-}
-
-}  // namespace
 
 ConflictAttribution::ConflictAttribution(const sim::MemoryConfig& config,
                                          AttributionOptions options)
     : config_{config},
       options_{options},
-      gap_{options.episode_gap > 0 ? options.episode_gap : config.bank_cycle} {
+      gap_{options.episode_gap > 0 ? options.episode_gap : config.bank_cycle},
+      bank_grants_(static_cast<std::size_t>(config.banks), 0) {
   if (options_.window <= 0) throw std::invalid_argument{"ConflictAttribution: window must be > 0"};
 }
 
@@ -37,25 +26,22 @@ void ConflictAttribution::grow_ports(std::size_t port) {
   }
 }
 
-inline ConflictAttribution::PortFold& ConflictAttribution::fold_for(std::size_t port) {
-  if (port >= ports_.size()) [[unlikely]] grow_ports(port);
-  return ports_[port];
-}
-
 void ConflictAttribution::close_episode(PortFold& fold) {
-  if (!fold.episode_open) return;
-  fold.episode_open = false;
+  const i64 last = fold.open.last;
+  if (last == kNoEpisode) return;
+  fold.open.last = kNoEpisode;
   for (const i64 bank : fold.open.banks) {
     fold.bank_in_episode[static_cast<std::size_t>(bank)] = 0;
   }
   if (closed_.size() < options_.max_episodes) {
     const std::size_t begin = closed_banks_.size();
     closed_banks_.insert(closed_banks_.end(), fold.open.banks.begin(), fold.open.banks.end());
+    const auto& kinds = fold.open_kinds;
     closed_.push_back(ClosedEpisode{.port = fold.open.port,
                                     .onset = fold.open.onset,
-                                    .last = fold.open.last,
-                                    .lost_cycles = fold.open.lost_cycles,
-                                    .kinds = fold.open_kinds,
+                                    .last = last,
+                                    .lost_cycles = kinds[0] + kinds[1] + kinds[2] + kinds[3],
+                                    .kinds = kinds,
                                     .banks_begin = begin,
                                     .banks_end = closed_banks_.size()});
   } else {
@@ -73,86 +59,131 @@ void ConflictAttribution::enter_window(i64 cycle) {
   window_end_ = (static_cast<i64>(w) + 1) * options_.window;
 }
 
-inline void ConflictAttribution::add_grants(i64& pending) {
-  if (pending == 0) return;
-  window_grants_[cur_window_] += pending;
-  total_grants_ += pending;
-  pending = 0;
-}
-
-inline void ConflictAttribution::fold_grant(i64 cycle, i64& pending) {
-  // Events arrive in (mostly) non-decreasing cycle order, so the current
-  // window is cached and the division only runs when the cycle leaves it.
-  if (cycle >= window_end_ || cycle < window_end_ - options_.window) [[unlikely]] {
-    add_grants(pending);
-    enter_window(cycle);
-  }
-  ++pending;
-}
-
-inline void ConflictAttribution::fold_conflict(i64 cycle, std::size_t port, i64 bank,
-                                               std::size_t kind, std::size_t blocker) {
-  PortFold& fold = fold_for(port);
+inline void ConflictAttribution::fold_conflict(PortFold& fold, const sim::PackedEvent& e,
+                                               i64 gap) {
+  const i64 cycle = e.cycle;
+  const auto bank = static_cast<std::size_t>(e.bank);
+  const auto kind = static_cast<std::size_t>(e.kind - 1);
+  const std::size_t blocker = e.blocker;
   // The (bank, kind) matrix is the only per-kind store on the hot path;
   // by-kind and grand totals are row sums computed at query time.
-  ++fold.by_bank_kind[static_cast<std::size_t>(bank) * sim::kConflictKinds + kind];
+  ++fold.by_bank_kind[bank * sim::kConflictKinds + kind];
   if (blocker >= fold.by_blocker.size()) [[unlikely]] fold.by_blocker.resize(blocker + 1, 0);
   ++fold.by_blocker[blocker];
 
-  // Episode tracking: merge stalls separated by at most gap_ periods.
-  if (fold.episode_open && cycle - fold.open.last > gap_) close_episode(fold);
-  if (!fold.episode_open) {
-    fold.episode_open = true;
-    fold.open.port = port;
+  // Episode tracking: merge stalls separated by at most gap_ periods.  With
+  // no episode open, open.last is kNoEpisode, far enough in the past that
+  // the same test opens one.
+  if (cycle - fold.open.last > gap) [[unlikely]] {
+    close_episode(fold);
+    fold.open.port = e.port;
     fold.open.onset = cycle;
-    fold.open.lost_cycles = 0;
     fold.open_kinds = {};
   }
   fold.open.last = cycle;
-  ++fold.open.lost_cycles;
   ++fold.open_kinds[kind];  // indexed, not switched: the mix is unpredictable
-  std::uint8_t& seen = fold.bank_in_episode[static_cast<std::size_t>(bank)];
+  std::uint8_t& seen = fold.bank_in_episode[bank];
   if (seen == 0) {
     seen = 1;
-    fold.open.banks.push_back(bank);  // sorted when the episode closes
-  }
-}
-
-void ConflictAttribution::observe(const sim::Event& e) {
-  if (finalized_) throw std::logic_error{"ConflictAttribution: observe() after finalize()"};
-  last_cycle_ = std::max(last_cycle_, e.cycle);
-  if (e.type == sim::Event::Type::grant) {
-    i64 pending = 0;
-    fold_grant(e.cycle, pending);
-    add_grants(pending);
-  } else {
-    fold_conflict(e.cycle, e.port, e.bank, static_cast<std::size_t>(e.conflict), e.blocker);
+    fold.open.banks.push_back(e.bank);  // sorted when the episode closes
   }
 }
 
 void ConflictAttribution::observe(std::span<const sim::PackedEvent> events) {
   if (finalized_) throw std::logic_error{"ConflictAttribution: observe() after finalize()"};
-  // The same fold as observe(Event), with the running maximum cycle and
-  // the current window's grant count held in locals: as members they
-  // would chain every event through a store and a reload.
-  i64 last = last_cycle_;
-  i64 pending = 0;
+  if (events.empty()) return;
+  // Hot scalars and table pointers live in locals: as members, every store
+  // through a stats or grant-count reference could alias them and force a
+  // reload (and a size division per bounds check).
+  const auto window = static_cast<std::uint64_t>(options_.window);
+  i64 window_end = window_end_;
+  i64* const bank_grants = bank_grants_.data();
+  const i64 gap = gap_;
+  i64* const short_stalls = short_stalls_.data();
+  sim::PortStats* stats_data = stats_.data();
+  std::size_t stats_size = stats_.size();
+  PortFold* folds = ports_.data();
+  std::size_t fold_count = ports_.size();
+  i64 pending = 0;  ///< grants of window cur_window_ not yet added
+  const auto add_pending = [&] {
+    window_grants_[cur_window_] += pending;
+    total_grants_ += pending;
+    pending = 0;
+  };
   for (const sim::PackedEvent& p : events) {
-    last = std::max(last, p.cycle);
-    if (p.kind == 0) {
-      fold_grant(p.cycle, pending);
-    } else {
-      fold_conflict(p.cycle, p.port, p.bank, static_cast<std::size_t>(p.kind - 1), p.blocker);
+    const std::size_t port = p.port;
+    if (port >= stats_size) [[unlikely]] {
+      stats_.resize(port + 1);
+      stats_data = stats_.data();
+      stats_size = stats_.size();
     }
+    sim::PortStats& stats = stats_data[port];
+    if (p.kind != 0) {
+      if (port >= fold_count) [[unlikely]] {
+        grow_ports(port);
+        folds = ports_.data();
+        fold_count = ports_.size();
+      }
+      fold_conflict(folds[port], p, gap);
+      ++stats.current_stall;
+      continue;
+    }
+    // The current b_eff(t) window is cached; the division only runs when
+    // a grant's cycle leaves it (either side, in one unsigned compare).
+    if (static_cast<std::uint64_t>(window_end - 1 - p.cycle) >= window) [[unlikely]] {
+      if (pending != 0) add_pending();
+      enter_window(p.cycle);
+      window_end = window_end_;
+    }
+    ++pending;
+    ++stats.grants;
+    if (stats.first_grant_cycle < 0) stats.first_grant_cycle = p.cycle;
+    stats.last_grant_cycle = p.cycle;
+    // The stall run this grant ends (0: none): short ones are counted by
+    // length, without a histogram update per grant.
+    const i64 stall = stats.current_stall;
+    if (stall < kShortStalls) [[likely]] {
+      ++short_stalls[stall];
+    } else {
+      stall_lengths_.record(stall);
+    }
+    stats.longest_stall = std::max(stats.longest_stall, stall);
+    stats.current_stall = 0;
+    ++bank_grants[p.bank];
   }
-  add_grants(pending);
-  last_cycle_ = last;
+  if (pending != 0) add_pending();
+  last_cycle_ = std::max(last_cycle_, events.back().cycle);
 }
 
-void ConflictAttribution::finalize(i64 end_cycle) {
+void ConflictAttribution::finalize(i64 end_cycle, std::size_t ports) {
   if (finalized_) return;
   finalized_ = true;
   end_cycle_ = std::max(end_cycle, last_cycle_ + 1);
+  if (stats_.size() < ports) stats_.resize(ports);
+  // A stall run still open when the window closes counts as a sample too:
+  // a port parked behind a barrier would otherwise vanish from the
+  // histogram entirely.
+  for (const sim::PortStats& p : stats_) {
+    if (p.current_stall > 0) stall_lengths_.record(p.current_stall);
+  }
+  for (i64 length = 1; length < kShortStalls; ++length) {
+    const i64 runs = short_stalls_[static_cast<std::size_t>(length)];
+    if (runs > 0) stall_lengths_.record(length, runs);
+  }
+  // Registered in a fixed order, so the metrics block serializes stably
+  // even when a run produces no events of some kind.
+  const sim::ConflictTotals grand = grand_totals();
+  registry_.counter("grants").inc(total_grants_);
+  registry_.counter("conflicts.bank").inc(grand.bank);
+  registry_.counter("conflicts.simultaneous").inc(grand.simultaneous);
+  registry_.counter("conflicts.section").inc(grand.section);
+  registry_.counter("conflicts.fault").inc(grand.fault);
+  registry_.histogram("stall_length") = stall_lengths_;
+  Histogram& per_bank = registry_.histogram("bank_grants");
+  for (const i64 g : bank_grants_) per_bank.record(g);
+  registry_.gauge("bank_utilization");
+  registry_.gauge("hottest_bank");
+
   for (auto& fold : ports_) close_episode(fold);
   episodes_.reserve(closed_.size());
   for (const ClosedEpisode& c : closed_) {
@@ -224,6 +255,33 @@ sim::ConflictTotals ConflictAttribution::totals(std::size_t port) const {
   return t;
 }
 
+sim::ConflictTotals ConflictAttribution::grand_totals() const {
+  sim::ConflictTotals grand;
+  for (std::size_t p = 0; p < ports_.size(); ++p) {
+    const sim::ConflictTotals t = totals(p);
+    grand.bank += t.bank;
+    grand.simultaneous += t.simultaneous;
+    grand.section += t.section;
+    grand.fault += t.fault;
+  }
+  return grand;
+}
+
+std::vector<sim::PortStats> ConflictAttribution::port_stats() const {
+  std::vector<sim::PortStats> out = stats_;
+  for (std::size_t p = 0; p < out.size(); ++p) {
+    // The fold folds a stall run into longest_stall when it ends; the
+    // engine counts the open run too.
+    out[p].longest_stall = std::max(out[p].longest_stall, out[p].current_stall);
+    const sim::ConflictTotals t = totals(p);
+    out[p].bank_conflicts = t.bank;
+    out[p].simultaneous_conflicts = t.simultaneous;
+    out[p].section_conflicts = t.section;
+    out[p].fault_conflicts = t.fault;
+  }
+  return out;
+}
+
 i64 ConflictAttribution::blocked_by(std::size_t port, std::size_t blocker) const {
   if (port >= ports_.size()) return 0;
   const auto& by = ports_[port].by_blocker;
@@ -236,15 +294,7 @@ Json ConflictAttribution::to_json() const {
   out["window"] = options_.window;
   out["cycles"] = end_cycle_;
 
-  sim::ConflictTotals grand;
-  for (std::size_t p = 0; p < ports_.size(); ++p) {
-    const sim::ConflictTotals t = totals(p);
-    grand.bank += t.bank;
-    grand.simultaneous += t.simultaneous;
-    grand.section += t.section;
-    grand.fault += t.fault;
-  }
-  out["lost_cycles"] = json_of_totals(grand);
+  out["lost_cycles"] = json_of(grand_totals());
   out["grants"] = total_grants_;
 
   Json per_port = Json::array();
@@ -252,7 +302,7 @@ Json ConflictAttribution::to_json() const {
     const PortFold& fold = ports_[p];
     Json entry = Json::object();
     entry["port"] = p;
-    entry["lost_cycles"] = json_of_totals(totals(p));
+    entry["lost_cycles"] = json_of(totals(p));
     Json by_bank = Json::array();
     for (i64 bank = 0; bank < config_.banks; ++bank) {
       const std::size_t base = static_cast<std::size_t>(bank) * sim::kConflictKinds;
@@ -294,7 +344,7 @@ Json ConflictAttribution::to_json() const {
     Json banks = Json::array();
     for (const i64 b : ep.banks) banks.push_back(b);
     entry["banks"] = std::move(banks);
-    entry["kinds"] = json_of_totals(ep.kinds);
+    entry["kinds"] = json_of(ep.kinds);
     episodes.push_back(std::move(entry));
   }
   out["episodes"] = std::move(episodes);
@@ -313,6 +363,17 @@ Json ConflictAttribution::to_json() const {
   beff["window"] = options_.window;
   beff["series"] = std::move(series);
   out["b_eff_windowed"] = std::move(beff);
+  return out;
+}
+
+Json ConflictAttribution::metrics_json() const {
+  Json out = registry_.to_json();
+  Json ports = Json::array();
+  for (const sim::PortStats& p : port_stats()) ports.push_back(json_of(p));
+  out["ports"] = std::move(ports);
+  Json banks = Json::array();
+  for (const i64 g : bank_grants_) banks.push_back(g);
+  out["bank_grants_by_bank"] = std::move(banks);
   return out;
 }
 

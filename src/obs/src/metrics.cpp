@@ -7,11 +7,11 @@
 
 namespace vpmem::obs {
 
-void Histogram::record(i64 value) {
+void Histogram::record(i64 value, i64 times) {
   if (value < 0) value = 0;
   const std::size_t b = bucket_of(value);
   if (b >= buckets_.size()) buckets_.resize(b + 1, 0);
-  ++buckets_[b];
+  buckets_[b] += times;
   if (count_ == 0) {
     min_ = value;
     max_ = value;
@@ -19,8 +19,8 @@ void Histogram::record(i64 value) {
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
   }
-  ++count_;
-  sum_ += value;
+  count_ += times;
+  sum_ += value * times;
 }
 
 std::size_t Histogram::bucket_of(i64 value) noexcept {

@@ -1,13 +1,12 @@
 #include "vpmem/obs/report.hpp"
 
 #include <fstream>
-#include <memory>
 #include <ostream>
 #include <stdexcept>
 
 #include "vpmem/obs/attribution.hpp"
-#include "vpmem/obs/collector.hpp"
 #include "vpmem/obs/timer.hpp"
+#include "vpmem/sim/event_buffer.hpp"
 #include "vpmem/sim/memory_system.hpp"
 #include "vpmem/util/error.hpp"
 
@@ -257,40 +256,39 @@ void RunReport::save(const std::string& path, int indent) const {
 
 namespace {
 
-/// The body both report_run variants share: build the machine with the
-/// Collector and (optionally) the attribution fold attached, drive it,
-/// and fill the status, window, bank and metrics fields.
+/// The body both report_run variants share: build the machine with a
+/// recorder whose chunk sink is the attribution fold, drive it, and fill
+/// the status, window, bank and metrics fields (and the attribution block
+/// when options.attribution is on).
 sim::RunStatus observe_run(RunReport& report, const ReportOptions& options,
                            const sim::Watchdog& watchdog, i64 horizon) {
   sim::MemorySystem mem{report.config, report.streams, report.fault_plan};
-  Collector collector{mem};
-  std::unique_ptr<ConflictAttribution> attribution;
-  std::size_t attribution_hook = 0;
-  if (options.attribution) {
-    attribution = std::make_unique<ConflictAttribution>(
-        report.config, AttributionOptions{.window = options.attribution_window});
-    attribution_hook = mem.add_event_hook(
-        [a = attribution.get()](const sim::Event& e) { a->observe(e); });
-  }
+  // The fold always runs: it is the metrics block too.
+  ConflictAttribution fold{report.config,
+                           AttributionOptions{.window = options.attribution_window}};
+  sim::EventRecorder recorder{
+      mem, nullptr,
+      sim::sink_capacity(report.streams.size(), horizon > 0 ? horizon : watchdog.max_cycles)};
+  recorder.buffer().set_chunk_sink(
+      [&fold](std::span<const sim::PackedEvent> events) { fold.observe(events); });
 
   const sim::GuardedRun run = sim::drive(mem, watchdog, {.horizon = horizon});
 
-  collector.finish();
-  if (attribution) {
-    mem.remove_event_hook(attribution_hook);
-    attribution->finalize(mem.now());
-    report.attribution = attribution->to_json();
-  }
+  recorder.buffer().flush();
+  fold.finalize(mem.now(), mem.port_count());
+  if (options.attribution) report.attribution = fold.to_json();
   report.status = to_string(run.status);
   report.status_detail = run.detail;
   report.cycles = run.result.cycles;
   report.ports = run.result.ports;
   report.conflicts = run.result.conflicts;
   report.window_bandwidth = run.result.bandwidth();
-  report.bank_grants = collector.bank_grants();
+  report.bank_grants = fold.bank_grants();
   report.bank_utilization = mem.bank_utilization();
   report.hottest_bank = mem.hottest_bank();
-  report.metrics = collector.to_json();
+  fold.registry().gauge("bank_utilization").set(report.bank_utilization);
+  fold.registry().gauge("hottest_bank").set(static_cast<double>(report.hottest_bank));
+  report.metrics = fold.metrics_json();
   report.perf.cycles_simulated += mem.now();
   return run.status;
 }

@@ -35,7 +35,7 @@ void Tracer::finish() {
   }
   if (finished_) return;
   finished_ = true;
-  if (attribution_) attribution_->finalize(mem_.now());
+  if (attribution_) attribution_->finalize(mem_.now(), mem_.port_count());
 }
 
 namespace {

@@ -1,13 +1,16 @@
-// Bounded, chunked storage for the simulator's event stream.
+// Bounded, chunked storage for the simulator's event stream — the one
+// way to observe a run.
 //
-// The event-hook multiplexer (memory_system.hpp) lets several observers
-// watch one run, but each observer that *stores* events used to keep its
-// own unbounded std::vector<Event>.  EventBuffer is the shared backing
-// store for tracing v2: events are packed to 32 bytes, appended to
-// fixed-size chunks, and the oldest chunk is recycled once the configured
-// capacity is reached — memory stays bounded no matter how long the run
-// is, and trace::Timeline plus obs::Tracer can read the same buffer
-// instead of recording the stream twice.
+// MemorySystem pushes every grant/conflict event inline into each
+// attached EventBuffer (a recorder).  Events are packed to 32 bytes,
+// appended to fixed-size chunks, and the oldest chunk is recycled once the
+// configured capacity is reached, so memory stays bounded no matter how
+// long the run is.  Consumers either read the retained window
+// (trace::Timeline, obs::Tracer's export, tests) or fold the stream a
+// chunk at a time through set_chunk_sink (obs::ConflictAttribution, the
+// differential check); a sink sees every event exactly once, eviction or
+// not, so a folding consumer needs only a small staging buffer
+// (sink_capacity).
 #pragma once
 
 #include <cstdint>
@@ -50,7 +53,7 @@ struct PackedEvent {
 
 static_assert(sizeof(PackedEvent) == 32);
 
-/// Chunked ring of PackedEvents.  push() is the tracing hot path: it
+/// Chunked ring of PackedEvents.  push() is the observation hot path: it
 /// appends to the newest chunk and only touches the chunk list when a
 /// chunk fills up.  Eviction drops whole chunks from the front, so the
 /// retained window always covers the most recent events.  The whole ring
@@ -59,18 +62,22 @@ static_assert(sizeof(PackedEvent) == 32);
 /// inside the traced run.
 class EventBuffer {
  public:
-  /// Events per chunk; eviction granularity.
+  /// Events per chunk (eviction granularity) of buffers holding at least
+  /// that many; a smaller buffer is one chunk of exactly its capacity.
   static constexpr std::size_t kChunkEvents = 4096;
   /// Default retention: 256k events (8 MiB packed) — far beyond what a
   /// trace viewer renders comfortably, small enough to pre-fault eagerly.
   static constexpr std::size_t kDefaultCapacity = 1u << 18;
 
-  /// `capacity` is rounded up to a whole number of chunks; 0 means
+  /// `capacity` is rounded up to a whole number of chunks (a capacity
+  /// below kChunkEvents is a single chunk of exactly that size); 0 means
   /// kDefaultCapacity.
   explicit EventBuffer(std::size_t capacity = kDefaultCapacity);
 
   /// Record one event, evicting the oldest chunk when full.  Inline: this
-  /// is the per-event cost of every traced run.
+  /// is the per-event cost of every observed run.  Throws
+  /// vpmem::Error{config_invalid} if the port, blocker or bank exceeds its
+  /// packed field width.
   void push(const Event& e) {
     if (e.port > std::numeric_limits<std::uint16_t>::max() ||
         e.blocker > std::numeric_limits<std::uint16_t>::max() ||
@@ -128,7 +135,7 @@ class EventBuffer {
 
   /// Hand every event pushed from now on to `sink` exactly once, in
   /// order: a chunk's events when it fills (so before it can be evicted)
-  /// and the rest on flush().  An online fold (obs::Tracer's attribution)
+  /// and the rest on flush().  An online fold (obs::ConflictAttribution)
   /// then runs in tight batches instead of once per event.  nullptr
   /// detaches.
   void set_chunk_sink(ChunkSink sink);
@@ -137,7 +144,7 @@ class EventBuffer {
   void flush();
 
  private:
-  /// Fixed-size slab of kChunkEvents; `count` events are valid (the
+  /// Fixed-size slab of chunk_events_; `count` events are valid (the
   /// tail's count is tail_fill() until the chunk closes).
   struct Chunk {
     std::unique_ptr<PackedEvent[]> data;
@@ -154,6 +161,7 @@ class EventBuffer {
   [[noreturn]] static void field_width_exceeded();
 
   std::size_t capacity_;
+  std::size_t chunk_events_;  ///< slab size: min(capacity, kChunkEvents)
   std::size_t size_ = 0;  ///< retained events in closed chunks
   i64 recorded_ = 0;      ///< events in closed chunks, evicted included
   std::deque<Chunk> chunks_;
@@ -167,11 +175,18 @@ class EventBuffer {
   std::size_t delivered_ = 0;  ///< tail events already handed to sink_
 };
 
+/// Capacity of a buffer that only stages a run's events for a chunk sink:
+/// `ports` ports over `cycles` periods emit at most ports x cycles events
+/// (one per live port per period), and a sink never needs more than one
+/// chunk retained.  Never 0, which would mean kDefaultCapacity.
+[[nodiscard]] std::size_t sink_capacity(std::size_t ports, i64 cycles) noexcept;
+
 /// RAII binding of an EventBuffer to a MemorySystem: attaches the buffer
 /// as a recorder (MemorySystem::add_recorder), so every event is pushed
-/// into it, and detaches on destruction.  trace::Timeline records through
-/// this (obs::Tracer attaches its buffer the same way); a Timeline given a
-/// Tracer's shared buffer only reads it, so the stream is stored once.
+/// into it, and detaches on destruction.  trace::Timeline, report_run and
+/// the check harness record through this (obs::Tracer attaches its buffer
+/// the same way); a Timeline given a Tracer's shared buffer only reads it,
+/// so the stream is stored once.
 class EventRecorder {
  public:
   /// Uses `buffer` if given, otherwise creates one with `capacity`.

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -26,7 +25,7 @@ inline constexpr const char* kCheckpointSchema = "vpmem.checkpoint/1";
 /// port's stream + progress + statistics, bank occupancy and the priority
 /// rotation.  Restoring it into a fresh MemorySystem (the SystemState
 /// constructor) continues the run cycle-for-cycle identically — long
-/// sweeps checkpoint to JSON and resume after interruption.  Event hooks
+/// sweeps checkpoint to JSON and resume after interruption.  Recorders
 /// are not part of the state; reattach them after restoring.
 struct SystemState {
   MemoryConfig config;
@@ -83,7 +82,7 @@ class MemorySystem {
   MemorySystem(MemoryConfig config, std::vector<StreamConfig> streams, FaultPlan plan = {});
 
   /// Restore a checkpoint()ed state; the run continues cycle-for-cycle
-  /// identically.  Hooks are not restored.
+  /// identically.  Recorders are not restored.
   explicit MemorySystem(const SystemState& state);
 
   /// Append a port mid-run.  `start_cycle` must be >= now().  Under fixed
@@ -155,25 +154,16 @@ class MemorySystem {
   /// The bank with the most grants so far (ties: lowest address).
   [[nodiscard]] i64 hottest_bank() const;
 
-  /// Observer invoked for every grant/conflict event.  Multiple hooks may
-  /// be attached at once (a hook multiplexer): vpmem::trace's Timeline and
-  /// vpmem::obs's Collector can watch the same run.  Hooks fire in
-  /// attachment order; they must not mutate the system.
-  using EventHook = std::function<void(const Event&)>;
+  /// Number of recorders currently attached.
+  [[nodiscard]] std::size_t recorder_count() const noexcept;
 
-  /// Attach `hook`; returns a handle for remove_event_hook.
-  std::size_t add_event_hook(EventHook hook);
-
-  /// Detach the hook with the given handle (no-op if already removed).
-  void remove_event_hook(std::size_t handle);
-
-  /// Number of observers currently attached: hooks plus recorders.
-  [[nodiscard]] std::size_t event_hook_count() const noexcept;
-
-  /// Append every event to `buffer` (inline, without a std::function
-  /// dispatch) until remove_recorder — the tracing fast path behind
-  /// EventRecorder and obs::Tracer.  Recorders see each event before the
-  /// hooks do.  `buffer` must outlive its attachment.
+  /// Append every grant/conflict event to `buffer` (inline, in emission
+  /// order) until remove_recorder.  This is the only way to observe a
+  /// run: EventRecorder binds a buffer for its lifetime, and consumers
+  /// that fold the stream (obs::ConflictAttribution, the differential
+  /// check) read it through EventBuffer::set_chunk_sink.  Several
+  /// recorders may be attached at once; they are pushed in attachment
+  /// order.  `buffer` must outlive its attachment.
   void add_recorder(EventBuffer& buffer);
 
   /// Detach `buffer` (no-op if it is not attached).
@@ -197,7 +187,6 @@ class MemorySystem {
     [[nodiscard]] bool done() const noexcept { return issued >= cfg.length; }
   };
 
-  void dispatch(const Event& e) const;
   void init_fault_state();
   void apply_due_faults();
   void rebuild_surviving();
@@ -219,10 +208,6 @@ class MemorySystem {
   i64 now_ = 0;
   i64 max_cpu_ = 0;
   std::size_t rr_ = 0;  ///< highest-priority port under PriorityRule::cyclic
-  /// Attached hooks, keyed by handle; removed entries stay as empty
-  /// functions so handles remain stable (hook churn is rare and tiny).
-  std::vector<EventHook> hooks_;
-  std::size_t live_hooks_ = 0;  ///< count of non-empty entries in hooks_
   std::vector<EventBuffer*> recorders_;
   // Per-step scratch (members to avoid per-cycle allocation).  Only the
   // entries granted in a step are claimed; `granted_` lists them as

@@ -1,17 +1,20 @@
 #include "vpmem/sim/event_buffer.hpp"
 
-#include <stdexcept>
+#include <algorithm>
+
+#include "vpmem/util/error.hpp"
 
 namespace vpmem::sim {
 
 EventBuffer::EventBuffer(std::size_t capacity)
-    : capacity_{capacity == 0 ? kDefaultCapacity : capacity} {
+    : capacity_{capacity == 0 ? kDefaultCapacity : capacity},
+      chunk_events_{std::min(capacity_, kChunkEvents)} {
   // Round up to whole chunks so eviction keeps at least `capacity` events.
-  capacity_ = ((capacity_ + kChunkEvents - 1) / kChunkEvents) * kChunkEvents;
+  capacity_ = ((capacity_ + chunk_events_ - 1) / chunk_events_) * chunk_events_;
   // Allocate and touch every slab now: the zero-fill faults the pages in,
   // so the per-event path never pays malloc or first-touch cost.
-  for (std::size_t have = 0; have < capacity_; have += kChunkEvents) {
-    free_.push_back(std::make_unique<PackedEvent[]>(kChunkEvents));
+  for (std::size_t have = 0; have < capacity_; have += chunk_events_) {
+    free_.push_back(std::make_unique<PackedEvent[]>(chunk_events_));
   }
 }
 
@@ -24,7 +27,7 @@ void EventBuffer::new_chunk() {
   }
   delivered_ = 0;
   Chunk next;
-  if (size_ + kChunkEvents > capacity_ && !chunks_.empty()) {
+  if (size_ + chunk_events_ > capacity_ && !chunks_.empty()) {
     // Evict the oldest chunk but keep its slab: the warm ring runs
     // allocation-free.
     size_ -= chunks_.front().count;
@@ -35,18 +38,18 @@ void EventBuffer::new_chunk() {
     next.data = std::move(free_.back());
     free_.pop_back();
   } else {
-    next.data = std::make_unique_for_overwrite<PackedEvent[]>(kChunkEvents);
+    next.data = std::make_unique_for_overwrite<PackedEvent[]>(chunk_events_);
   }
   chunks_.push_back(std::move(next));
   // deque never relocates surviving elements on push_back/pop_front, so
   // the cached tail pointer stays valid until the next new_chunk().
   tail_ = &chunks_.back();
   cursor_ = tail_->data.get();
-  chunk_end_ = cursor_ + kChunkEvents;
+  chunk_end_ = cursor_ + chunk_events_;
 }
 
 void EventBuffer::field_width_exceeded() {
-  throw std::invalid_argument{"EventBuffer::push: port/bank exceeds packed field width"};
+  throw Error{ErrorCode::config_invalid, "EventBuffer::push: port/bank exceeds packed field width"};
 }
 
 i64 EventBuffer::first_cycle() const {
@@ -82,6 +85,14 @@ void EventBuffer::flush() {
   if (!sink_ || delivered_ == fill) return;
   sink_(std::span<const PackedEvent>{tail_->data.get() + delivered_, fill - delivered_});
   delivered_ = fill;
+}
+
+std::size_t sink_capacity(std::size_t ports, i64 cycles) noexcept {
+  if (ports == 0 || cycles <= 0) return 1;
+  constexpr std::size_t kChunk = EventBuffer::kChunkEvents;
+  const auto per_port = static_cast<std::size_t>(cycles);
+  // Compare before multiplying: a huge horizon must not overflow.
+  return per_port > kChunk / ports ? kChunk : std::min(ports * per_port, kChunk);
 }
 
 EventRecorder::EventRecorder(MemorySystem& mem, std::shared_ptr<EventBuffer> buffer,

@@ -249,42 +249,13 @@ i64 MemorySystem::hottest_bank() const {
   return static_cast<i64>(best);
 }
 
-std::size_t MemorySystem::add_event_hook(EventHook hook) {
-  if (!hook) throw std::invalid_argument{"add_event_hook: hook must be callable"};
-  // Reuse a vacated slot when available to keep the fan-out loop dense.
-  for (std::size_t h = 0; h < hooks_.size(); ++h) {
-    if (!hooks_[h]) {
-      hooks_[h] = std::move(hook);
-      ++live_hooks_;
-      return h;
-    }
-  }
-  hooks_.push_back(std::move(hook));
-  ++live_hooks_;
-  return hooks_.size() - 1;
-}
-
-void MemorySystem::remove_event_hook(std::size_t handle) {
-  if (handle >= hooks_.size() || !hooks_[handle]) return;
-  hooks_[handle] = nullptr;
-  --live_hooks_;
-}
-
-std::size_t MemorySystem::event_hook_count() const noexcept {
-  return live_hooks_ + recorders_.size();
-}
+std::size_t MemorySystem::recorder_count() const noexcept { return recorders_.size(); }
 
 void MemorySystem::add_recorder(EventBuffer& buffer) { recorders_.push_back(&buffer); }
 
 void MemorySystem::remove_recorder(const EventBuffer& buffer) {
   const auto it = std::find(recorders_.begin(), recorders_.end(), &buffer);
   if (it != recorders_.end()) recorders_.erase(it);
-}
-
-void MemorySystem::dispatch(const Event& e) const {
-  for (const EventHook& hook : hooks_) {
-    if (hook) hook(e);
-  }
 }
 
 void MemorySystem::step() {
@@ -312,7 +283,7 @@ void MemorySystem::step() {
   }
   ports_visited_ += static_cast<i64>(live);
   bool any_finished = false;
-  const bool observed = live_hooks_ != 0 || !recorders_.empty();
+  const bool observed = !recorders_.empty();
 
   for (std::size_t i = 0; i < live; ++i) {
     const std::size_t at = first + i;
@@ -323,7 +294,7 @@ void MemorySystem::step() {
     const i64 bank = effective_bank(port);
     const auto bank_u = static_cast<std::size_t>(bank);
     const i64 section = section_of_[bank_u];
-    // Events are only materialized for attached observers.
+    // Events are only materialized for attached recorders.
     const auto emit = [&](Event::Type type, ConflictKind kind, std::size_t blocker) {
       if (!observed) return;
       const Event e{.type = type,
@@ -334,7 +305,6 @@ void MemorySystem::step() {
                     .conflict = kind,
                     .blocker = blocker};
       for (EventBuffer* recorder : recorders_) recorder->push(e);
-      if (live_hooks_ != 0) dispatch(e);
     };
     const auto delay = [&](std::int64_t& counter, ConflictKind kind, std::size_t blocker) {
       ++counter;

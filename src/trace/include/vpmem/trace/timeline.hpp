@@ -32,7 +32,7 @@ class Timeline {
   /// Record into a private buffer (capacity sim::EventBuffer defaults).
   explicit Timeline(sim::MemorySystem& mem);
 
-  /// Read from `buffer` without attaching any hook: some other observer
+  /// Read from `buffer` without attaching a recorder: some other observer
   /// (an EventRecorder or a Tracer) fills it.  Windows older than the
   /// buffer's retention render as idle.
   Timeline(sim::MemorySystem& mem, std::shared_ptr<sim::EventBuffer> buffer);

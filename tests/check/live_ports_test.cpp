@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "vpmem/check/reference_model.hpp"
+#include "vpmem/sim/event_buffer.hpp"
 #include "vpmem/sim/memory_system.hpp"
 
 namespace vpmem {
@@ -22,11 +23,11 @@ using Events = std::vector<sim::Event>;
 
 /// Run `mem` for `cycles` periods and return the events it emitted.
 Events record(sim::MemorySystem& mem, i64 cycles) {
-  Events log;
-  const std::size_t hook = mem.add_event_hook([&log](const sim::Event& e) { log.push_back(e); });
+  // At most one event per port per period: the buffer holds the whole run.
+  const sim::EventRecorder rec{mem, nullptr,
+                               mem.port_count() * static_cast<std::size_t>(cycles)};
   mem.run(cycles, /*stop_when_finished=*/false);
-  mem.remove_event_hook(hook);
-  return log;
+  return rec.buffer().events();
 }
 
 /// The reference model's events in [from, from + cycles).

@@ -1,5 +1,5 @@
 // Cross-validation sweeps: independent paths through the library must
-// agree — exact steady states vs windowed measurement, event hooks vs
+// agree — exact steady states vs windowed measurement, recorded events vs
 // aggregate counters, stall lengths vs the barrier theory.
 #include <gtest/gtest.h>
 
@@ -16,12 +16,14 @@ sim::MemoryConfig flat(i64 m, i64 nc) {
   return sim::MemoryConfig{.banks = m, .sections = m, .bank_cycle = nc};
 }
 
-TEST(CrossValidation, EventHookAgreesWithAggregateCounters) {
-  // Count every event through the hook and compare with PortStats.
+TEST(CrossValidation, RecordedEventsAgreeWithAggregateCounters) {
+  // Count every recorded event and compare with PortStats.
   for (auto [d1, d2] : {std::pair<i64, i64>{1, 6}, {2, 5}, {1, 1}}) {
     sim::MemorySystem mem{flat(13, 4), sim::two_streams(0, d1, 1, d2, /*same_cpu=*/true)};
+    const sim::EventRecorder rec{mem, nullptr, mem.port_count() * 500};
+    mem.run(500, /*stop_when_finished=*/false);
     std::map<std::size_t, sim::PortStats> counted;
-    mem.add_event_hook([&](const sim::Event& e) {
+    for (const sim::Event& e : rec.buffer().events()) {
       sim::PortStats& c = counted[e.port];
       if (e.type == sim::Event::Type::grant) {
         ++c.grants;
@@ -32,8 +34,7 @@ TEST(CrossValidation, EventHookAgreesWithAggregateCounters) {
       } else {
         ++c.section_conflicts;
       }
-    });
-    mem.run(500, /*stop_when_finished=*/false);
+    }
     for (std::size_t p = 0; p < mem.port_count(); ++p) {
       const sim::PortStats& st = mem.port_stats(p);
       EXPECT_EQ(counted[p].grants, st.grants) << "d=" << d1 << "," << d2;

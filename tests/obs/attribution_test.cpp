@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "vpmem/analytic/theorems.hpp"
+#include "vpmem/sim/event_buffer.hpp"
 #include "vpmem/sim/memory_system.hpp"
 #include "vpmem/util/rational.hpp"
 
@@ -20,10 +21,13 @@ ConflictAttribution attribute_run(const sim::MemoryConfig& config,
                                   AttributionOptions options = {}) {
   sim::MemorySystem mem{config, streams};
   ConflictAttribution attribution{config, options};
-  const std::size_t hook =
-      mem.add_event_hook([&](const sim::Event& e) { attribution.observe(e); });
-  mem.run(cycles, /*stop_when_finished=*/false);
-  mem.remove_event_hook(hook);
+  {
+    sim::EventRecorder rec{mem, nullptr, streams.size() * static_cast<std::size_t>(cycles)};
+    rec.buffer().set_chunk_sink(
+        [&](std::span<const sim::PackedEvent> events) { attribution.observe(events); });
+    mem.run(cycles, /*stop_when_finished=*/false);
+    rec.buffer().flush();
+  }
   attribution.finalize(mem.now());
   stats = mem.all_stats();
   return attribution;
@@ -133,18 +137,13 @@ TEST(ConflictAttribution, EpisodeGapSplitsDistantStalls) {
   // Two stalls farther apart than the merge gap become two episodes.
   const sim::MemoryConfig config{.banks = 4, .sections = 4, .bank_cycle = 2};
   ConflictAttribution a{config, AttributionOptions{.episode_gap = 1}};
-  sim::Event e;
-  e.type = sim::Event::Type::conflict;
-  e.port = 0;
-  e.bank = 1;
-  e.conflict = sim::ConflictKind::bank;
-  e.cycle = 5;
-  a.observe(e);
-  e.cycle = 6;
-  a.observe(e);
-  e.cycle = 20;  // > gap away: new episode
-  e.bank = 2;
-  a.observe(e);
+  // Bank conflicts (kind 1 + ConflictKind::bank) of port 0.
+  const std::vector<sim::PackedEvent> events{
+      {.cycle = 5, .bank = 1, .kind = 1},
+      {.cycle = 6, .bank = 1, .kind = 1},
+      {.cycle = 20, .bank = 2, .kind = 1},  // > gap away: new episode
+  };
+  a.observe(events);
   a.finalize(30);
   ASSERT_EQ(a.episodes().size(), 2u);
   EXPECT_EQ(a.episodes()[0].onset, 5);
@@ -159,9 +158,13 @@ TEST(ConflictAttribution, BandwidthSeriesCoversTheWholeWindow) {
   const sim::MemoryConfig config{.banks = 8, .sections = 8, .bank_cycle = 4};
   sim::MemorySystem mem{config, sim::two_streams(0, 1, 0, 4)};
   ConflictAttribution a{config, AttributionOptions{.window = 10}};
-  const std::size_t hook = mem.add_event_hook([&](const sim::Event& e) { a.observe(e); });
-  mem.run(95, /*stop_when_finished=*/false);
-  mem.remove_event_hook(hook);
+  {
+    sim::EventRecorder rec{mem, nullptr, 2 * 95};
+    rec.buffer().set_chunk_sink(
+        [&](std::span<const sim::PackedEvent> events) { a.observe(events); });
+    mem.run(95, /*stop_when_finished=*/false);
+    rec.buffer().flush();
+  }
   a.finalize(mem.now());
 
   const auto& series = a.bandwidth_series();
@@ -183,8 +186,8 @@ TEST(ConflictAttribution, ObserveAfterFinalizeThrows) {
   const sim::MemoryConfig config{.banks = 4, .sections = 4, .bank_cycle = 2};
   ConflictAttribution a{config};
   a.finalize(10);
-  sim::Event e;
-  EXPECT_THROW(a.observe(e), std::logic_error);
+  const std::vector<sim::PackedEvent> events(1);
+  EXPECT_THROW(a.observe(events), std::logic_error);
   EXPECT_THROW((ConflictAttribution{config, AttributionOptions{.window = 0}}),
                std::invalid_argument);
 }

@@ -1,13 +1,15 @@
-// The Collector recounts statistics from the event stream alone; these
-// tests pit it against MemorySystem's own counters on the paper's
-// configurations (Figs. 2, 3 and the Fig. 10 X-MP geometry).
-#include "vpmem/obs/collector.hpp"
-
+// ConflictAttribution recounts the run's statistics (per-port stats,
+// per-bank grants, metrics registry, stall histogram) from the event
+// stream alone; these tests pit it against MemorySystem's own counters on
+// the paper's configurations (Figs. 2, 3 and the Fig. 10 X-MP geometry).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
+#include "vpmem/obs/attribution.hpp"
 #include "vpmem/sim/config.hpp"
+#include "vpmem/sim/event_buffer.hpp"
 #include "vpmem/sim/memory_system.hpp"
 #include "vpmem/trace/timeline.hpp"
 #include "vpmem/xmp/machine.hpp"
@@ -31,14 +33,40 @@ void expect_ports_equal(const std::vector<sim::PortStats>& collected,
   }
 }
 
-/// Run `cycles` periods with a Collector attached and check every
-/// recounted statistic against the simulator's own.
-void check_collector_matches(const sim::MemoryConfig& config,
-                             const std::vector<sim::StreamConfig>& streams, i64 cycles) {
+/// A fold riding its own recorder's chunk sink: the way report_run and
+/// the collector_totals check observe a run.
+class FoldRecorder {
+ public:
+  FoldRecorder(sim::MemorySystem& mem, std::size_t capacity)
+      : mem_{mem}, fold_{mem.config()}, recorder_{std::in_place, mem, nullptr, capacity} {
+    recorder_->buffer().set_chunk_sink(
+        [this](std::span<const sim::PackedEvent> events) { fold_.observe(events); });
+  }
+
+  /// Deliver the buffered tail, detach and finalize.  Idempotent.
+  ConflictAttribution& finish() {
+    if (recorder_) {
+      recorder_->buffer().flush();
+      recorder_.reset();
+      fold_.finalize(mem_.now(), mem_.port_count());
+    }
+    return fold_;
+  }
+
+ private:
+  sim::MemorySystem& mem_;
+  ConflictAttribution fold_;
+  std::optional<sim::EventRecorder> recorder_;
+};
+
+/// Run `cycles` periods with a fold attached and check every recounted
+/// statistic against the simulator's own.
+void check_fold_matches(const sim::MemoryConfig& config,
+                        const std::vector<sim::StreamConfig>& streams, i64 cycles) {
   sim::MemorySystem mem{config, streams};
-  Collector collector{mem};
+  FoldRecorder recorder{mem, streams.size() * static_cast<std::size_t>(cycles)};
   for (i64 c = 0; c < cycles; ++c) mem.step();
-  collector.finish();
+  ConflictAttribution& collector = recorder.finish();
 
   expect_ports_equal(collector.port_stats(), mem.all_stats());
 
@@ -63,21 +91,21 @@ void check_collector_matches(const sim::MemoryConfig& config,
   EXPECT_EQ(collector.stall_lengths().sum(), totals.total());
 }
 
-TEST(Collector, MatchesAllStatsOnFig2ConflictFree) {
+TEST(FoldStats, MatchesAllStatsOnFig2ConflictFree) {
   // Fig. 2: m = 12, nc = 3, distances 1 and 7 from banks 0 and 3 —
   // the paper's conflict-free showcase.
   const sim::MemoryConfig config{.banks = 12, .sections = 12, .bank_cycle = 3};
-  check_collector_matches(config, sim::two_streams(0, 1, 3, 7), 600);
+  check_fold_matches(config, sim::two_streams(0, 1, 3, 7), 600);
 }
 
-TEST(Collector, MatchesAllStatsOnFig3Barrier) {
+TEST(FoldStats, MatchesAllStatsOnFig3Barrier) {
   // Fig. 3: m = 13, nc = 6, both streams from bank 0 with distances 1
-  // and 6 — forms the barrier, so real stalls flow through the hook.
+  // and 6 — forms the barrier, so real stalls flow through the fold.
   const sim::MemoryConfig config{.banks = 13, .sections = 13, .bank_cycle = 6};
-  check_collector_matches(config, sim::two_streams(0, 1, 0, 6), 600);
+  check_fold_matches(config, sim::two_streams(0, 1, 0, 6), 600);
 }
 
-TEST(Collector, MatchesAllStatsOnFig10XmpGeometry) {
+TEST(FoldStats, MatchesAllStatsOnFig10XmpGeometry) {
   // Fig. 10 machine: 16 banks, 4 sections, nc = 4 — exercises section
   // and simultaneous conflicts across two CPUs.
   const xmp::XmpConfig machine;
@@ -90,43 +118,43 @@ TEST(Collector, MatchesAllStatsOnFig10XmpGeometry) {
   for (const i64 b : machine.background_start_banks) {
     streams.push_back(sim::StreamConfig{.start_bank = b, .distance = 1, .cpu = 1});
   }
-  check_collector_matches(machine.memory, streams, 800);
+  check_fold_matches(machine.memory, streams, 800);
 }
 
-TEST(Collector, MatchesFiniteStreams) {
+TEST(FoldStats, MatchesFiniteStreams) {
   const sim::MemoryConfig config{.banks = 8, .sections = 4, .bank_cycle = 4};
   auto streams = sim::two_streams(0, 1, 0, 4, /*same_cpu=*/true);
   for (auto& s : streams) s.length = 37;
-  check_collector_matches(config, streams, 400);
+  check_fold_matches(config, streams, 400);
 }
 
-TEST(Collector, FinishIsIdempotentAndDetaches) {
+TEST(FoldStats, FinishIsIdempotentAndDetaches) {
   const sim::MemoryConfig config{.banks = 13, .sections = 13, .bank_cycle = 6};
   sim::MemorySystem mem{config, sim::two_streams(0, 1, 0, 6)};
-  Collector collector{mem};
+  FoldRecorder recorder{mem, 2 * 100};
   for (i64 c = 0; c < 100; ++c) mem.step();
-  collector.finish();
+  const ConflictAttribution& collector = recorder.finish();
   const auto frozen = collector.port_stats();
   const i64 frozen_count = collector.stall_lengths().count();
   // Events after finish() must not be collected.
   for (i64 c = 0; c < 100; ++c) mem.step();
-  collector.finish();
+  recorder.finish();
   expect_ports_equal(collector.port_stats(), frozen);
   EXPECT_EQ(collector.stall_lengths().count(), frozen_count);
-  EXPECT_EQ(mem.event_hook_count(), 0u);
+  EXPECT_EQ(mem.recorder_count(), 0u);
 }
 
-TEST(Collector, CoexistsWithTimeline) {
-  // Both observers attach through the hook multiplexer; each must see
-  // the full event stream.
+TEST(FoldStats, CoexistsWithTimeline) {
+  // Both observers attach as recorders; each must see the full event
+  // stream.
   const sim::MemoryConfig config{.banks = 13, .sections = 13, .bank_cycle = 6};
   sim::MemorySystem mem{config, sim::two_streams(0, 1, 0, 6)};
   trace::Timeline timeline{mem};
-  Collector collector{mem};
-  EXPECT_EQ(mem.event_hook_count(), 2u);
+  FoldRecorder recorder{mem, 2 * 200};
+  EXPECT_EQ(mem.recorder_count(), 2u);
   for (i64 c = 0; c < 200; ++c) mem.step();
-  collector.finish();
-  EXPECT_EQ(mem.event_hook_count(), 1u);  // Timeline still attached
+  const ConflictAttribution& collector = recorder.finish();
+  EXPECT_EQ(mem.recorder_count(), 1u);  // Timeline still attached
 
   expect_ports_equal(collector.port_stats(), mem.all_stats());
   i64 timeline_grants = 0;
@@ -141,39 +169,18 @@ TEST(Collector, CoexistsWithTimeline) {
   EXPECT_EQ(timeline_conflicts, totals.total());
 }
 
-TEST(Collector, StallHistogramOnBarrier) {
+TEST(FoldStats, StallHistogramOnBarrier) {
   // The Fig. 3 barrier produces real delay runs; the longest recorded
   // run must agree with the simulator's longest_stall.
   const sim::MemoryConfig config{.banks = 13, .sections = 13, .bank_cycle = 6};
   sim::MemorySystem mem{config, sim::two_streams(0, 1, 0, 6)};
-  Collector collector{mem};
+  FoldRecorder recorder{mem, 2 * 600};
   for (i64 c = 0; c < 600; ++c) mem.step();
-  collector.finish();
+  const ConflictAttribution& collector = recorder.finish();
   ASSERT_GT(collector.stall_lengths().count(), 0);
   i64 longest = 0;
   for (const auto& p : mem.all_stats()) longest = std::max(longest, p.longest_stall);
   EXPECT_EQ(collector.stall_lengths().max(), longest);
-}
-
-TEST(MemorySystem, HookMultiplexerAddRemove) {
-  const sim::MemoryConfig config{.banks = 8, .sections = 8, .bank_cycle = 4};
-  sim::MemorySystem mem{config, sim::two_streams(0, 1, 1, 1)};
-  i64 a = 0;
-  i64 b = 0;
-  const std::size_t ha = mem.add_event_hook([&](const sim::Event&) { ++a; });
-  const std::size_t hb = mem.add_event_hook([&](const sim::Event&) { ++b; });
-  EXPECT_EQ(mem.event_hook_count(), 2u);
-  for (i64 c = 0; c < 50; ++c) mem.step();
-  EXPECT_GT(a, 0);
-  EXPECT_EQ(a, b);
-  mem.remove_event_hook(ha);
-  EXPECT_EQ(mem.event_hook_count(), 1u);
-  const i64 a_frozen = a;
-  for (i64 c = 0; c < 50; ++c) mem.step();
-  EXPECT_EQ(a, a_frozen);
-  EXPECT_GT(b, a_frozen);
-  mem.remove_event_hook(hb);
-  EXPECT_EQ(mem.event_hook_count(), 0u);
 }
 
 }  // namespace

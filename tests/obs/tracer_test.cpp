@@ -1,5 +1,6 @@
-// Tracer: Chrome trace-event export (schema vpmem.trace/1), buffer/
-// Collector reconciliation, and the shared-buffer path into Timeline.
+// Tracer: Chrome trace-event export (schema vpmem.trace/1), buffer vs
+// independent-fold reconciliation, and the shared-buffer path into
+// Timeline.
 #include "vpmem/obs/tracer.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +10,7 @@
 #include <sstream>
 #include <string>
 
-#include "vpmem/obs/collector.hpp"
+#include "vpmem/sim/event_buffer.hpp"
 #include "vpmem/sim/memory_system.hpp"
 #include "vpmem/trace/timeline.hpp"
 
@@ -22,17 +23,24 @@ const sim::MemoryConfig kFig3{.banks = 13, .sections = 13, .bank_cycle = 6};
 
 std::vector<sim::StreamConfig> fig3_streams() { return sim::two_streams(0, 1, 0, 6); }
 
-TEST(Tracer, EventCountsMatchCollector) {
+TEST(Tracer, EventCountsMatchIndependentFold) {
   sim::MemorySystem mem{kFig3, fig3_streams()};
-  Collector collector{mem};
+  // A second recorder with its own fold recounts the stream independently
+  // of the tracer's buffer.
+  ConflictAttribution fold{kFig3};
+  sim::EventRecorder rec{mem, nullptr, 2 * 156};
+  rec.buffer().set_chunk_sink(
+      [&fold](std::span<const sim::PackedEvent> events) { fold.observe(events); });
   Tracer tracer{mem};
   mem.run(156, /*stop_when_finished=*/false);
-  collector.finish();
+  rec.buffer().flush();
+  rec.detach();
+  fold.finalize(mem.now(), mem.port_count());
   tracer.finish();
 
   i64 grants = 0;
   i64 conflicts = 0;
-  for (const auto& p : collector.port_stats()) {
+  for (const auto& p : fold.port_stats()) {
     grants += p.grants;
     conflicts += p.total_conflicts();
   }
@@ -159,11 +167,11 @@ TEST(Tracer, SaveWritesAParseableFile) {
 TEST(Tracer, FinishDetachesAndIsIdempotent) {
   sim::MemorySystem mem{kFig3, fig3_streams()};
   Tracer tracer{mem};
-  EXPECT_EQ(mem.event_hook_count(), 1u);
+  EXPECT_EQ(mem.recorder_count(), 1u);
   mem.run(20, /*stop_when_finished=*/false);
   tracer.finish();
   tracer.finish();
-  EXPECT_EQ(mem.event_hook_count(), 0u);
+  EXPECT_EQ(mem.recorder_count(), 0u);
   const i64 recorded = tracer.buffer().recorded();
   mem.run(20, /*stop_when_finished=*/false);
   EXPECT_EQ(tracer.buffer().recorded(), recorded);
@@ -183,8 +191,8 @@ TEST(Tracer, AttributionCanBeDisabled) {
 
 TEST(Tracer, BoundedCapacityEvictsButAttributionStaysExact) {
   sim::MemorySystem mem{kFig3, fig3_streams()};
-  // Tiny buffer: one chunk. The run emits ~2 events/cycle, so 3000 cycles
-  // overflow 4096 retained events — attribution must not notice.
+  // Tiny buffer: a single one-event chunk. The run emits ~2 events/cycle,
+  // so nearly all of them are evicted — attribution must not notice.
   Tracer tracer{mem, TracerOptions{.capacity = 1}};
   mem.run(3000, /*stop_when_finished=*/false);
   tracer.finish();
@@ -201,9 +209,9 @@ TEST(Tracer, SharesBufferWithTimeline) {
   Tracer tracer{mem};
   trace::Timeline timeline{mem, tracer.share_buffer()};
   mem.run(26, /*stop_when_finished=*/false);
-  // Only the tracer's hook is attached; the Timeline reads the same
+  // Only the tracer's recorder is attached; the Timeline reads the same
   // buffer without recording the stream twice.
-  EXPECT_EQ(mem.event_hook_count(), 1u);
+  EXPECT_EQ(mem.recorder_count(), 1u);
   const auto grid = timeline.grid(0, 26);
   ASSERT_EQ(grid.size(), static_cast<std::size_t>(kFig3.banks));
   // Fig. 3's opening pattern on bank 0: stream 1 is granted at cycle 0

@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "vpmem/sim/event_buffer.hpp"
 #include "vpmem/sim/fault.hpp"
 #include "vpmem/util/error.hpp"
 
@@ -34,10 +35,10 @@ std::vector<StreamConfig> sample_streams() {
 
 /// Grant/conflict trail of `mem` over the next `cycles` periods.
 std::vector<Event> trail(MemorySystem& mem, i64 cycles) {
-  std::vector<Event> events;
-  static_cast<void>(mem.add_event_hook([&events](const Event& e) { events.push_back(e); }));
+  // At most one event per port per period: the buffer holds the whole trail.
+  const EventRecorder rec{mem, nullptr, mem.port_count() * static_cast<std::size_t>(cycles)};
   mem.run(cycles, /*stop_when_finished=*/false);
-  return events;
+  return rec.buffer().events();
 }
 
 void expect_same_trail(const std::vector<Event>& a, const std::vector<Event>& b) {
@@ -119,9 +120,9 @@ TEST(Checkpoint, RemapSpareAddressingStaysDefinedForHugeProgress) {
   // Raw bank (2 + 5k) mod 12 = 3 is the offline one; the survivors are
   // {0,1,2,4,...,11} and (2 + 5k) mod 11 = 5 selects bank 6.
   EXPECT_EQ(restored.next_bank(0), 3);
-  std::vector<Event> events;
-  restored.add_event_hook([&events](const Event& e) { events.push_back(e); });
+  const EventRecorder rec{restored, nullptr, 1};
   restored.step();
+  const std::vector<Event> events = rec.buffer().events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].bank, 6);
   EXPECT_EQ(events[0].element, k);

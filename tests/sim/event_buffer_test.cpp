@@ -1,4 +1,4 @@
-// Tests for the bounded chunked event store behind tracing v2.
+// Tests for the bounded chunked event store every observer records into.
 #include "vpmem/sim/event_buffer.hpp"
 
 #include <gtest/gtest.h>
@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "vpmem/sim/memory_system.hpp"
+#include "vpmem/util/error.hpp"
 
 namespace vpmem::sim {
 namespace {
@@ -46,7 +47,7 @@ TEST(PackedEvent, RoundTripsEveryKind) {
 
 TEST(EventBuffer, CapacityRoundsUpToWholeChunks) {
   EventBuffer buf{1};
-  EXPECT_EQ(buf.capacity(), EventBuffer::kChunkEvents);
+  EXPECT_EQ(buf.capacity(), 1u);  // below one chunk: a single chunk of that size
   EventBuffer two{EventBuffer::kChunkEvents + 1};
   EXPECT_EQ(two.capacity(), 2 * EventBuffer::kChunkEvents);
   EventBuffer dflt{0};
@@ -73,17 +74,61 @@ TEST(EventBuffer, EvictsOldestChunkAndCountsDrops) {
   EXPECT_EQ(seen, 5);
 }
 
+TEST(EventBuffer, SubChunkCapacityDeliversEveryEventOnceAndEvicts) {
+  // 10 events in a 3-event buffer: the sink still sees all of them, in
+  // order, exactly once, while the ring keeps only the newest partial
+  // chunk (eviction drops whole 3-event chunks).
+  EventBuffer buf{3};
+  EXPECT_EQ(buf.capacity(), 3u);
+  std::vector<i64> delivered;
+  buf.set_chunk_sink([&delivered](std::span<const PackedEvent> events) {
+    for (const PackedEvent& p : events) delivered.push_back(p.cycle);
+  });
+  for (i64 c = 0; c < 10; ++c) buf.push(make_event(c, Event::Type::grant, 0, c % 5));
+  EXPECT_EQ(delivered, (std::vector<i64>{0, 1, 2, 3, 4, 5, 6, 7, 8}));  // closed chunks
+  buf.flush();
+  buf.flush();  // nothing new: no duplicate delivery
+  EXPECT_EQ(delivered, (std::vector<i64>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(buf.recorded(), 10);
+  EXPECT_EQ(buf.dropped(), 9);
+  EXPECT_EQ(buf.size(), 1u);
+  EXPECT_EQ(buf.first_cycle(), 9);
+  EXPECT_EQ(buf.events().front().cycle, 9);
+}
+
+TEST(EventBuffer, SinkCapacityBoundsARunByPortsTimesCycles) {
+  EXPECT_EQ(sink_capacity(4, 224), 896u);
+  EXPECT_EQ(sink_capacity(8, 1'000'000), EventBuffer::kChunkEvents);
+  EXPECT_EQ(sink_capacity(3, std::numeric_limits<i64>::max()), EventBuffer::kChunkEvents);
+  EXPECT_EQ(sink_capacity(0, 100), 1u);  // never 0 (the default capacity)
+  EXPECT_EQ(sink_capacity(2, 0), 1u);
+}
+
 TEST(EventBuffer, RejectsOutOfRangeFields) {
-  EventBuffer buf;
-  Event wide = make_event(0, Event::Type::grant, 0, 0);
+  // A field too wide to pack is a typed configuration error, and nothing
+  // is recorded.
+  const auto expect_config_error = [](const Event& wide) {
+    EventBuffer buf{1};
+    try {
+      buf.push(wide);
+      ADD_FAILURE() << "expected vpmem::Error";
+    } catch (const vpmem::Error& e) {
+      EXPECT_EQ(e.code(), vpmem::ErrorCode::config_invalid);
+    }
+    EXPECT_EQ(buf.recorded(), 0);
+  };
+  Event wide = make_event(0, Event::Type::conflict, 0, 0);
+  wide.port = 70000;
+  expect_config_error(wide);
+  wide = make_event(0, Event::Type::grant, 0, 0);
   wide.port = std::numeric_limits<std::uint16_t>::max() + 1u;
-  EXPECT_THROW(buf.push(wide), std::invalid_argument);
+  expect_config_error(wide);
   wide = make_event(0, Event::Type::grant, 0, 0);
   wide.blocker = std::numeric_limits<std::uint16_t>::max() + 1u;
-  EXPECT_THROW(buf.push(wide), std::invalid_argument);
+  expect_config_error(wide);
   wide = make_event(0, Event::Type::grant, 0, 0);
   wide.bank = static_cast<i64>(std::numeric_limits<std::int32_t>::max()) + 1;
-  EXPECT_THROW(buf.push(wide), std::invalid_argument);
+  expect_config_error(wide);
 }
 
 TEST(EventBuffer, ClearResetsCounters) {
@@ -111,7 +156,7 @@ TEST(EventRecorder, RecordsARunAndDetaches) {
   rec.detach();
   mem.run(10, /*stop_when_finished=*/false);
   EXPECT_EQ(rec.buffer().recorded(), recorded);
-  EXPECT_EQ(mem.event_hook_count(), 0u);
+  EXPECT_EQ(mem.recorder_count(), 0u);
 }
 
 TEST(EventRecorder, SharesOneBufferBetweenObservers) {

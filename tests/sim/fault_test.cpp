@@ -7,6 +7,7 @@
 #include <numeric>
 #include <vector>
 
+#include "vpmem/sim/event_buffer.hpp"
 #include "vpmem/sim/memory_system.hpp"
 #include "vpmem/sim/run.hpp"
 #include "vpmem/util/error.hpp"
@@ -136,13 +137,14 @@ TEST(FaultModel, RemapSpareRoutesAroundDeadBank) {
   FaultPlan plan;
   plan.policy = FaultPolicy::remap_spare;
   plan.events = {boff(0, 2)};
-  std::vector<i64> banks;
   MemorySystem mem{flat(4, 1), {StreamConfig{.start_bank = 0, .distance = 1, .length = 9}},
                    plan};
-  static_cast<void>(mem.add_event_hook([&banks](const Event& e) {
-    if (e.type == Event::Type::grant) banks.push_back(e.bank);
-  }));
+  const EventRecorder rec{mem, nullptr, 20};
   mem.run(20);
+  std::vector<i64> banks;
+  for (const Event& e : rec.buffer().events()) {
+    if (e.type == Event::Type::grant) banks.push_back(e.bank);
+  }
   // Survivors ascending = {0, 1, 3}; slot k = (0 + k) mod 3.
   EXPECT_EQ(banks, (std::vector<i64>{0, 1, 3, 0, 1, 3, 0, 1, 3}));
   EXPECT_EQ(mem.all_stats().at(0).fault_conflicts, 0);
@@ -193,15 +195,16 @@ TEST(FaultModel, PathOutageBlocksOnlyTheAffectedCpu) {
   EXPECT_EQ(stats.at(1).grants, 10);
 }
 
-TEST(FaultModel, FaultEventsReachHooksWithKindFault) {
+TEST(FaultModel, FaultEventsReachRecordersWithKindFault) {
   FaultPlan plan;
   plan.events = {boff(0, 0)};
   MemorySystem mem{flat(4, 1), {StreamConfig{.start_bank = 0, .distance = 0}}, plan};
-  i64 fault_events = 0;
-  static_cast<void>(mem.add_event_hook([&fault_events](const Event& e) {
-    if (e.type == Event::Type::conflict && e.conflict == ConflictKind::fault) ++fault_events;
-  }));
+  const EventRecorder rec{mem, nullptr, 5};
   mem.run(5);
+  i64 fault_events = 0;
+  for (const Event& e : rec.buffer().events()) {
+    if (e.type == Event::Type::conflict && e.conflict == ConflictKind::fault) ++fault_events;
+  }
   EXPECT_EQ(fault_events, 5);
 }
 

@@ -4,10 +4,21 @@
 
 #include <vector>
 
+#include "vpmem/sim/event_buffer.hpp"
+
 namespace vpmem::sim {
 namespace {
 
 MemoryConfig flat(i64 m, i64 nc) { return MemoryConfig{.banks = m, .sections = m, .bank_cycle = nc}; }
+
+/// Banks of the granted events, in emission order.
+std::vector<i64> granted_banks(const EventRecorder& rec) {
+  std::vector<i64> banks;
+  for (const Event& e : rec.buffer().events()) {
+    if (e.type == Event::Type::grant) banks.push_back(e.bank);
+  }
+  return banks;
+}
 
 TEST(MemorySystem, EmptyConstructionAllowsLaterInjection) {
   MemorySystem mem{flat(8, 2), {}};
@@ -21,13 +32,10 @@ TEST(MemorySystem, EmptyConstructionAllowsLaterInjection) {
 
 TEST(MemorySystem, SingleStreamStridesThroughBanks) {
   MemorySystem mem{flat(8, 2), {StreamConfig{.start_bank = 3, .distance = 2, .length = 6}}};
-  std::vector<i64> banks;
-  mem.add_event_hook([&](const Event& e) {
-    if (e.type == Event::Type::grant) banks.push_back(e.bank);
-  });
+  const EventRecorder rec{mem, nullptr, 100};
   mem.run(100);
   EXPECT_TRUE(mem.finished());
-  EXPECT_EQ(banks, (std::vector<i64>{3, 5, 7, 1, 3, 5}));
+  EXPECT_EQ(granted_banks(rec), (std::vector<i64>{3, 5, 7, 1, 3, 5}));
 }
 
 TEST(MemorySystem, GrantsOnePerCycleWhenConflictFree) {
@@ -44,12 +52,13 @@ TEST(MemorySystem, GrantsOnePerCycleWhenConflictFree) {
 TEST(MemorySystem, SelfBankConflictDelaysAtStartBank) {
   // m = 4, d = 2 -> r = 2 < nc = 4: returns to the start bank too early.
   MemorySystem mem{flat(4, 4), {StreamConfig{.start_bank = 0, .distance = 2, .length = 4}}};
-  std::vector<Event> conflicts;
-  mem.add_event_hook([&](const Event& e) {
-    if (e.type == Event::Type::conflict) conflicts.push_back(e);
-  });
+  const EventRecorder rec{mem, nullptr, 1000};
   mem.run(1000);
   EXPECT_TRUE(mem.finished());
+  std::vector<Event> conflicts;
+  for (const Event& e : rec.buffer().events()) {
+    if (e.type == Event::Type::conflict) conflicts.push_back(e);
+  }
   ASSERT_FALSE(conflicts.empty());
   for (const auto& c : conflicts) {
     EXPECT_EQ(c.conflict, ConflictKind::bank);
@@ -80,9 +89,9 @@ TEST(MemorySystem, SimultaneousBankConflictAcrossCpus) {
   // period; fixed priority: port 0 wins, port 1 records a simultaneous
   // bank conflict.
   MemorySystem mem{flat(8, 2), two_streams(0, 1, 0, 1, /*same_cpu=*/false)};
-  std::vector<Event> events;
-  mem.add_event_hook([&](const Event& e) { events.push_back(e); });
+  const EventRecorder rec{mem, nullptr, 2};
   mem.step();
+  const std::vector<Event> events = rec.buffer().events();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].type, Event::Type::grant);
   EXPECT_EQ(events[0].port, 0u);
@@ -139,11 +148,12 @@ TEST(MemorySystem, DelayedPortRetainsElementOrder) {
   // requests of that port; elements are still transferred in order.
   MemoryConfig cfg = flat(4, 4);
   MemorySystem mem{cfg, {StreamConfig{.start_bank = 0, .distance = 2, .length = 8}}};
-  std::vector<i64> elements;
-  mem.add_event_hook([&](const Event& e) {
-    if (e.type == Event::Type::grant) elements.push_back(e.element);
-  });
+  const EventRecorder rec{mem, nullptr, 1000};
   mem.run(1000);
+  std::vector<i64> elements;
+  for (const Event& e : rec.buffer().events()) {
+    if (e.type == Event::Type::grant) elements.push_back(e.element);
+  }
   for (std::size_t i = 0; i < elements.size(); ++i) {
     EXPECT_EQ(elements[i], static_cast<i64>(i));
   }
@@ -226,12 +236,9 @@ TEST(MemorySystem, StateKeyRepeatsWithCyclicBehaviour) {
 TEST(MemorySystem, DistanceLargerThanBanksWrap) {
   // distance is taken mod m for bank addressing.
   MemorySystem mem{flat(8, 2), {StreamConfig{.start_bank = 0, .distance = 9, .length = 3}}};
-  std::vector<i64> banks;
-  mem.add_event_hook([&](const Event& e) {
-    if (e.type == Event::Type::grant) banks.push_back(e.bank);
-  });
+  const EventRecorder rec{mem, nullptr, 100};
   mem.run(100);
-  EXPECT_EQ(banks, (std::vector<i64>{0, 1, 2}));
+  EXPECT_EQ(granted_banks(rec), (std::vector<i64>{0, 1, 2}));
 }
 
 TEST(MemorySystem, BankGrantStatistics) {

@@ -2,6 +2,7 @@
 // skewed storage, diagonals and synthetic random traffic).
 #include <gtest/gtest.h>
 
+#include "vpmem/sim/event_buffer.hpp"
 #include "vpmem/sim/memory_system.hpp"
 #include "vpmem/util/error.hpp"
 #include "vpmem/sim/steady_state.hpp"
@@ -16,11 +17,12 @@ TEST(PatternStream, FollowsExplicitSequence) {
   s.bank_pattern = {3, 1, 4, 1, 5};
   s.length = 7;  // wraps around the period
   MemorySystem mem{flat(8, 1), {s}};
-  std::vector<i64> banks;
-  mem.add_event_hook([&](const Event& e) {
-    if (e.type == Event::Type::grant) banks.push_back(e.bank);
-  });
+  const EventRecorder rec{mem, nullptr, 100};
   mem.run(100);
+  std::vector<i64> banks;
+  for (const Event& e : rec.buffer().events()) {
+    if (e.type == Event::Type::grant) banks.push_back(e.bank);
+  }
   EXPECT_EQ(banks, (std::vector<i64>{3, 1, 4, 1, 5, 3, 1}));
 }
 

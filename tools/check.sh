@@ -10,9 +10,10 @@
 #
 # The sanitizer pass rebuilds into build-asan/ with -fsanitize=address,undefined
 # (VPMEM_SANITIZE=ON) and reruns the sim + obs + check test binaries, which
-# exercise the event-hook multiplexer, the Collector's raw-pointer hot path
-# and the reference model's event-log scans, plus the run corpus and the
-# X-MP kernel grid, which take every run entry point through sim::drive.
+# exercise the event recorders and their chunk sinks, the attribution fold's
+# hot path and the reference model's event-log scans, plus the run corpus
+# and the X-MP kernel grid, which take every run entry point through
+# sim::drive.
 #
 # The TSan pass rebuilds into build-tsan/ with -fsanitize=thread
 # (VPMEM_SANITIZE_THREAD=ON) and runs `ctest -LE fork`: everything except
@@ -26,15 +27,25 @@ cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 4)
 mode="${1:-}"
 
+echo "== lint: one observer path =="
+# Recorders with chunk sinks are the only way to observe a run; the removed
+# std::function hook multiplexer and the Collector must not come back.
+if grep -rnE "add_event_hook|remove_event_hook|EventHook|obs::Collector" \
+    src examples tests bench; then
+  echo "lint: the removed event-hook API or obs::Collector is referenced above" >&2
+  exit 1
+fi
+
 echo "== tier 1: configure + build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
 echo "== bench telemetry: perf_sim_engine -> BENCH_perf_sim_engine.json =="
-# Run from the repo root so the vpmem.bench/1 document lands next to the
-# committed copy; the gate below fails on an empty benchmarks array (the
-# regression this guards against: a reporter change silently dropping rows).
+# Run from the repo root so the vpmem.bench/1 document lands there (a local
+# artifact: .gitignore drops BENCH_*.json, so no copy is committed); the
+# gate below fails on an empty benchmarks array (the regression this guards
+# against: a reporter change silently dropping rows).
 ./build/bench/perf_sim_engine >/dev/null
 python3 - <<'EOF'
 import json, sys
