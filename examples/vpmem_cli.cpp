@@ -1,99 +1,28 @@
-// vpmem_cli — command-line front end to the library.
-//
-//   vpmem_cli single <m> <nc> <d>
-//       One-stream analysis: return number, predicted and simulated b_eff.
-//   vpmem_cli pair <m> <nc> <d1> <d2> [--same-cpu] [--sections s]
-//       Two-stream classification plus the exact offset sweep.
-//   vpmem_cli render <m> <nc> <d1> <d2> <b1> <b2> [cycles] [--same-cpu]
-//            [--sections s] [--cyclic-priority] [--consecutive]
-//       Draw the clock diagram in the paper's notation.
-//   vpmem_cli report <m> <nc> <d1> [d2 [b1 b2]] [--length n] [--cycles N]
-//            [--same-cpu] [--sections s] [--cyclic-priority] [--consecutive]
-//       Run the configuration and emit the full structured RunReport
-//       (schema vpmem.run_report/1) as JSON — to stdout, or to the --json
-//       file when given.
-//   vpmem_cli triad <n> <inc> [--dedicated]
-//       Run the Section IV triad on the X-MP model.
-//   vpmem_cli idim <m> <nc> <stride> <arrays> <min_elements>
-//       Recommend a COMMON array extent (the IDIM question).
-//   vpmem_cli diagnose <m> <nc> <d1> <d2> [--same-cpu] [--sections s]
-//            [--cyclic-priority] [--consecutive]
-//       Conflict-regime map over every relative start position.
-//   vpmem_cli kernel <name> <n> <inc> [--dedicated]
-//       Run copy/scale/sum/daxpy/triad/gather/scatter on the X-MP model.
-//   vpmem_cli fuzz [iterations] [--seed S] [--cycles T] [--fault name]
-//            [--fault-plans] [--no-shrink] [--replay LINE] [--jobs N]
-//       Differential fuzzing: random configurations cross-checked against
-//       the naive reference model and the analytic theorems.  With
-//       --fault-plans every case also carries a randomized timed
-//       degradation plan (both sides must still agree event-for-event).
-//       Failures print one-line repros; --replay re-executes one.  With
-//       --jobs N cases are checked on N worker threads; the campaign is
-//       pre-sampled from the seed so the summary is byte-identical to the
-//       sequential run.  Exits 1 on any disagreement.
-//   vpmem_cli sweep <m> <nc> --d1 A:B --d2 A:B [--jobs N] [--journal f]
-//            [--resume] [--sandbox] [--retries N] [--out results.json]
-//            [--same-cpu] [--sections s] [--cyclic-priority]
-//            [--consecutive] [--test-crash ID]
-//       Campaign sweep over the (d1, d2) stride grid via the journaled
-//       executor (exec::run_campaign).  Every point is one job: steady-
-//       state b_eff, period, transient, conflicts — fully deterministic,
-//       so --out files from interrupted-then-resumed campaigns are byte-
-//       identical to uninterrupted ones.  --journal appends every attempt
-//       to an append-only vpmem.journal/1 file; --resume skips jobs the
-//       journal already settled (matched by config hash).  --sandbox
-//       fork-isolates each point so a crashing job is quarantined with a
-//       repro token instead of killing the campaign (--test-crash ID
-//       deliberately crashes that job to prove it).  Exits 8 when any
-//       job failed or was quarantined.
-//   vpmem_cli faults <m> <nc> <d1> [d2 [b1 b2]] (--plan file.json | --inline SPEC)
-//            [--policy stall|remap_spare] [--length n] [--cycles N]
-//            [--max-cycles N] [--same-cpu] [--sections s]
-//            [--cyclic-priority] [--consecutive]
-//       Degraded-mode run: apply a timed fault plan (schema
-//       vpmem.fault_plan/1 from --plan, or the compact --inline form,
-//       e.g. 'stall;boff@40:b3;bon@160:b3') under a watchdog and report
-//       the guarded RunReport plus the per-phase bandwidth between fault
-//       events.  Exits 5 if the cycle budget expired, 6 on livelock.
-//   vpmem_cli trace <m> <nc> <d1> [d2 [b1 b2]] [--out trace.json]
-//            [--length n] [--cycles N] [--window N] [--no-attribution]
-//            [--same-cpu] [--sections s] [--cyclic-priority] [--consecutive]
-//       Run the configuration with the tracer attached and write a Chrome
-//       trace-event / Perfetto JSON file (schema vpmem.trace/1) — load it
-//       at ui.perfetto.dev.  Infinite streams default to a transient +
-//       one-period window; the attribution summary also lands in the
-//       --json envelope.
-//
-// Every subcommand accepts `--json <file>` and then also writes a
-// machine-readable record of its result ("-" writes the JSON to stdout
-// instead of a file); sweep-shaped subcommands log their perf telemetry
-// (simulated cycles/second, per-point latency) to stderr.
-//
-// The long-running subcommands (fuzz, sweep, faults) install SIGINT/
-// SIGTERM handlers: the first signal cancels cooperatively — the run
-// stops at the next case/job/poll boundary, flushes its journal and
-// still writes a valid --json envelope with "status": "interrupted" —
-// and the second restores the default disposition (hard kill).
-//
-// Exit codes: 0 success, 1 generic failure (including fuzz
-// disagreements), 2 usage, and for typed vpmem::Error conditions
-// 3 = config_invalid, 4 = fault_plan_invalid, 5 = deadline_exceeded,
-// 6 = livelock (the last two also report a guarded run that stopped
-// early).  7 = interrupted by SIGINT/SIGTERM (partial results were
-// still flushed); 8 = sweep campaign degraded (some jobs failed or
-// were quarantined).  With --json, errors still write a vpmem.cli/1
-// envelope whose "error" member carries {code, message}.
+// vpmem_cli — command-line front end to the library.  One grammar table
+// (kOptions, kSlotFloors, kCommands) drives parsing, validation, dispatch
+// and the usage text; run it with no arguments for every subcommand's options.
+// Exit codes: 0 success; 1 failure (including fuzz disagreements); 2 usage
+// (unknown subcommand or option, missing value, wrong positional count);
+// 3 config_invalid (also any malformed or out-of-range number);
+// 4 fault_plan_invalid; 5 deadline_exceeded; 6 livelock; 7 interrupted by
+// SIGINT/SIGTERM (partial results flushed); 8 sweep campaign degraded.  With
+// --json every exit but 2 leaves a vpmem.cli/1 (report: vpmem.run_report/1).
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "vpmem/vpmem.hpp"
@@ -101,244 +30,138 @@
 namespace {
 
 using namespace vpmem;
+using u64 = std::uint64_t;
 
-int usage() {
-  std::cerr << "usage:\n"
-               "  vpmem_cli single <m> <nc> <d>\n"
-               "  vpmem_cli pair <m> <nc> <d1> <d2> [--same-cpu] [--sections s]\n"
-               "  vpmem_cli render <m> <nc> <d1> <d2> <b1> <b2> [cycles] [--same-cpu]\n"
-               "           [--sections s] [--cyclic-priority] [--consecutive]\n"
-               "  vpmem_cli report <m> <nc> <d1> [d2 [b1 b2]] [--length n] [--cycles N]\n"
-               "           [--same-cpu] [--sections s] [--cyclic-priority] [--consecutive]\n"
-               "  vpmem_cli triad <n> <inc> [--dedicated]\n"
-               "  vpmem_cli idim <m> <nc> <stride> <arrays> <min_elements>\n"
-               "  vpmem_cli diagnose <m> <nc> <d1> <d2> [--same-cpu] [--sections s]\n"
-               "  vpmem_cli kernel <name> <n> <inc> [--dedicated]\n"
-               "  vpmem_cli fuzz [iterations] [--seed S] [--cycles T] [--fault name]\n"
-               "           [--fault-plans] [--no-shrink] [--replay LINE] [--jobs N]\n"
-               "  vpmem_cli sweep <m> <nc> --d1 A:B --d2 A:B [--jobs N] [--journal f]\n"
-               "           [--resume] [--sandbox] [--retries N] [--out results.json]\n"
-               "           [--same-cpu] [--sections s] [--cyclic-priority]\n"
-               "           [--consecutive] [--test-crash ID]\n"
-               "  vpmem_cli faults <m> <nc> <d1> [d2 [b1 b2]]\n"
-               "           (--plan file.json | --inline SPEC) [--policy stall|remap_spare]\n"
-               "           [--length n] [--cycles N] [--max-cycles N] [--same-cpu]\n"
-               "           [--sections s] [--cyclic-priority] [--consecutive]\n"
-               "  vpmem_cli trace <m> <nc> <d1> [d2 [b1 b2]] [--out trace.json]\n"
-               "           [--length n] [--cycles N] [--window N] [--no-attribution]\n"
-               "           [--same-cpu] [--sections s] [--cyclic-priority] [--consecutive]\n"
-               "options accepted by every subcommand:\n"
-               "  --json <file>   also write a machine-readable JSON record\n"
-               "                  ('-' = stdout); schema: vpmem.run_report/1 for\n"
-               "                  report, vpmem.cli/1 envelopes otherwise\n";
-  return 2;
-}
+/// flag: no value; integer: in [lo, hi], base 10 (any base, e.g. 0x.., when
+/// `base` is 0); text: any token; range: "A:B" (or "A" = A:A), both ends
+/// in [lo, hi] and A <= B.
+enum class Kind { flag, integer, text, range };
 
-struct Args {
-  std::vector<i64> positional;
-  std::string word;  // non-numeric positional (kernel name)
-  bool same_cpu = false;
-  bool dedicated = false;
-  bool cyclic_priority = false;
-  bool consecutive = false;
-  i64 sections = 0;  // 0 = same as banks
-  i64 length = 0;    // 0 = infinite streams (report subcommand)
-  i64 cycles = 0;    // 0 = automatic window (report subcommand)
-  std::string json_path;  // empty = no JSON output
-  // trace subcommand:
-  std::string out;           // trace file path (empty = "trace.json")
-  i64 window = 0;            // 0 = attribution default (64)
-  bool no_attribution = false;
-  // fuzz subcommand:
-  std::uint64_t seed = 0x0ed1a25;  // matches check::FuzzOptions default
-  bool seed_given = false;
-  std::string fault;        // reference-model mutation name
-  std::string replay_line;  // one-line repro to re-execute
-  bool no_shrink = false;
-  bool fault_plans = false;  // fuzz: attach randomized fault plans
-  // faults subcommand:
-  std::string plan_path;    // --plan: vpmem.fault_plan/1 JSON file
-  std::string plan_inline;  // --inline: compact FaultPlan::parse() spec
-  std::string policy;       // --policy: override the plan's policy
-  i64 max_cycles = 0;       // --max-cycles: watchdog budget (0 = default)
-  // campaign execution (fuzz --jobs; sweep subcommand):
-  int jobs = 1;             // --jobs: worker threads
-  std::string journal;      // --journal: vpmem.journal/1 path
-  bool resume = false;      // --resume: skip jobs the journal settled
-  bool sandbox = false;     // --sandbox: fork-isolate every sweep job
-  i64 retries = 0;          // --retries: max attempts per job (0 = default)
-  std::string test_crash;   // --test-crash: job id to SIGSEGV on purpose
-  std::string d1_range;     // --d1: inclusive "A:B" stride range
-  std::string d2_range;     // --d2: inclusive "A:B" stride range
-  i64 throttle_ms = 0;      // --throttle-ms: pace each sweep job (tests)
-  std::string bad_value;    // first malformed or out-of-range number
+struct Option {
+  std::string_view name;
+  Kind kind;
+  const char* meta = "";  ///< value placeholder in usage
+  u64 lo = 0;
+  u64 hi = std::numeric_limits<i64>::max();
+  int base = 10;
 };
 
-/// Strict integer parsing: the whole token must be a base-10 integer
-/// within [lo, hi] (no trailing junk, no silent 0 for "abc", no wrap).
-/// Records the first violation in args.bad_value and leaves `out` as is;
-/// main() then rejects the run as config_invalid.
-template <typename Int>
-void parse_int(Args& args, const std::string& what, const char* text, i64 lo, i64 hi,
-               Int& out) {
-  const std::string token = text;
-  i64 value = 0;
-  std::size_t used = 0;
-  bool ok = !token.empty() && std::isspace(static_cast<unsigned char>(token[0])) == 0;
-  try {
-    if (ok) value = std::stoll(token, &used, 10);
-  } catch (const std::exception&) {  // not a number, or beyond i64
-    ok = false;
-  }
-  ok = ok && used == token.size() && value >= lo && value <= hi;
-  if (!ok) {
-    if (args.bad_value.empty()) {
-      args.bad_value = what + ": expected an integer in [" + std::to_string(lo) + ", " +
-                       std::to_string(hi) + "], got '" + token + "'";
-    }
-    return;
-  }
-  out = static_cast<Int>(value);
+/// Every option, once.  --sections 0 means as many sections as banks;
+/// --length, --cycles, --window and --max-cycles 0 mean the default.
+constexpr auto kOptions = std::to_array<Option>({
+    {"--json", Kind::text, "file"},          {"--same-cpu", Kind::flag},
+    {"--sections", Kind::integer, "N"},      {"--cyclic-priority", Kind::flag},
+    {"--consecutive", Kind::flag},           {"--dedicated", Kind::flag},
+    {"--length", Kind::integer, "N"},        {"--cycles", Kind::integer, "N"},
+    {"--window", Kind::integer, "N"},        {"--no-attribution", Kind::flag},
+    {"--out", Kind::text, "file"},           {"--fault", Kind::text, "name"},
+    {"--fault-plans", Kind::flag},           {"--no-shrink", Kind::flag},
+    {"--replay", Kind::text, "LINE"},        {"--plan", Kind::text, "file"},
+    {"--inline", Kind::text, "SPEC"},        {"--policy", Kind::text, "stall|remap_spare"},
+    {"--max-cycles", Kind::integer, "N"},    {"--d1", Kind::range, "A:B"},
+    {"--d2", Kind::range, "A:B"},            {"--journal", Kind::text, "file"},
+    {"--resume", Kind::flag},                {"--sandbox", Kind::flag},
+    {"--retries", Kind::integer, "N", 0, 1000}, {"--jobs", Kind::integer, "N", 1, 1024},
+    {"--test-crash", Kind::text, "ID"},      {"--throttle-ms", Kind::integer, "N", 0, 3'600'000},
+    {"--seed", Kind::integer, "N", 0, std::numeric_limits<u64>::max(), 0},
+});
+
+/// Positional slots with a floor above 0 (every other slot is an integer
+/// in [0, INT64_MAX]); kWord marks the slot that takes a name.
+constexpr i64 kWord = -1;
+constexpr std::pair<std::string_view, i64> kSlotFloors[] = {
+    {"m", 1}, {"nc", 1}, {"n", 1}, {"inc", 1}, {"arrays", 1}, {"min_elements", 1}, {"name", kWord}};
+
+/// Index of option `name` in kOptions; kOptions' size when there is none.
+constexpr std::size_t option_index(std::string_view name) {
+  return static_cast<std::size_t>(std::ranges::find(kOptions, name, &Option::name) -
+                                  kOptions.begin());
 }
 
-constexpr i64 kMaxI64 = std::numeric_limits<i64>::max();
-
-bool parse(int argc, char** argv, Args& args) {
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--same-cpu") {
-      args.same_cpu = true;
-    } else if (a == "--dedicated") {
-      args.dedicated = true;
-    } else if (a == "--cyclic-priority") {
-      args.cyclic_priority = true;
-    } else if (a == "--consecutive") {
-      args.consecutive = true;
-    } else if (a == "--sections") {
-      if (++i >= argc) return false;
-      parse_int(args, "--sections", argv[i], 0, kMaxI64, args.sections);
-    } else if (a == "--length") {
-      if (++i >= argc) return false;
-      parse_int(args, "--length", argv[i], 0, kMaxI64, args.length);
-    } else if (a == "--cycles") {
-      if (++i >= argc) return false;
-      parse_int(args, "--cycles", argv[i], 0, kMaxI64, args.cycles);
-    } else if (a == "--json") {
-      if (++i >= argc) return false;
-      args.json_path = argv[i];
-    } else if (a == "--out") {
-      if (++i >= argc) return false;
-      args.out = argv[i];
-    } else if (a == "--window") {
-      if (++i >= argc) return false;
-      parse_int(args, "--window", argv[i], 0, kMaxI64, args.window);
-    } else if (a == "--attribution") {
-      args.no_attribution = false;  // the default; accepted for symmetry
-    } else if (a == "--no-attribution") {
-      args.no_attribution = true;
-    } else if (a == "--seed") {
-      if (++i >= argc) return false;
-      const std::string token = argv[i];
-      char* end = nullptr;
-      errno = 0;
-      args.seed = std::strtoull(token.c_str(), &end, 0);
-      const bool signed_or_padded = token.empty() || token[0] == '-' ||
-                                    std::isspace(static_cast<unsigned char>(token[0])) != 0;
-      if (signed_or_padded || end != token.c_str() + token.size() || errno == ERANGE) {
-        if (args.bad_value.empty()) {
-          args.bad_value = "--seed: expected an unsigned 64-bit integer, got '" + token + "'";
-        }
-      }
-      args.seed_given = true;
-    } else if (a == "--fault") {
-      if (++i >= argc) return false;
-      args.fault = argv[i];
-    } else if (a == "--replay") {
-      if (++i >= argc) return false;
-      args.replay_line = argv[i];
-    } else if (a == "--no-shrink") {
-      args.no_shrink = true;
-    } else if (a == "--fault-plans") {
-      args.fault_plans = true;
-    } else if (a == "--plan") {
-      if (++i >= argc) return false;
-      args.plan_path = argv[i];
-    } else if (a == "--inline") {
-      if (++i >= argc) return false;
-      args.plan_inline = argv[i];
-    } else if (a == "--policy") {
-      if (++i >= argc) return false;
-      args.policy = argv[i];
-    } else if (a == "--max-cycles") {
-      if (++i >= argc) return false;
-      parse_int(args, "--max-cycles", argv[i], 0, kMaxI64, args.max_cycles);
-    } else if (a == "--jobs") {
-      if (++i >= argc) return false;
-      parse_int(args, "--jobs", argv[i], 1, 1024, args.jobs);
-    } else if (a == "--journal") {
-      if (++i >= argc) return false;
-      args.journal = argv[i];
-    } else if (a == "--resume") {
-      args.resume = true;
-    } else if (a == "--sandbox") {
-      args.sandbox = true;
-    } else if (a == "--retries") {
-      if (++i >= argc) return false;
-      parse_int(args, "--retries", argv[i], 0, 1000, args.retries);
-    } else if (a == "--test-crash") {
-      if (++i >= argc) return false;
-      args.test_crash = argv[i];
-    } else if (a == "--d1") {
-      if (++i >= argc) return false;
-      args.d1_range = argv[i];
-    } else if (a == "--d2") {
-      if (++i >= argc) return false;
-      args.d2_range = argv[i];
-    } else if (a == "--throttle-ms") {
-      if (++i >= argc) return false;
-      parse_int(args, "--throttle-ms", argv[i], 0, 3'600'000, args.throttle_ms);
-    } else if (!a.empty() && (std::isdigit(static_cast<unsigned char>(a[0])) != 0)) {
-      i64 value = 0;
-      parse_int(args, "argument " + std::to_string(args.positional.size() + 1), a.c_str(), 0,
-                kMaxI64, value);
-      args.positional.push_back(value);
-    } else if (!a.empty() && a[0] != '-' && args.word.empty()) {
-      args.word = a;
-    } else {
-      return false;
-    }
+/// An option name checked against kOptions at compile time; implicit, so
+/// handlers read options by their "--name".
+struct Opt {
+  std::size_t index;
+  consteval Opt(const char* name) : index{option_index(name)} {
+    if (index == std::size(kOptions)) throw "not an option in kOptions";
   }
-  return true;
+};
+
+/// A parsed command line: one number per positional slot (0 in the name
+/// slot, whose token is `word`) and every option's value.
+struct Args {
+  struct Value {
+    bool given = false;
+    u64 lo = 0;        ///< the integer, or the range start
+    u64 hi = 0;        ///< the range end
+    std::string text;  ///< the raw token
+  };
+  std::string_view command;
+  std::vector<i64> positional;
+  std::string word;
+  std::array<Value, std::size(kOptions)> values;
+  std::string bad_value;  ///< first malformed or out-of-range number
+
+  [[nodiscard]] bool flag(Opt o) const { return values[o.index].given; }
+  [[nodiscard]] i64 num(Opt o, i64 fallback = 0) const {
+    return flag(o) ? static_cast<i64>(values[o.index].lo) : fallback;
+  }
+  [[nodiscard]] std::pair<i64, i64> range(Opt o) const {
+    return {static_cast<i64>(values[o.index].lo), static_cast<i64>(values[o.index].hi)};
+  }
+  [[nodiscard]] const std::string& text(Opt o) const { return values[o.index].text; }
+  [[nodiscard]] const std::string& json_path() const { return text("--json"); }
+};
+
+/// Strict integer parsing: the whole token must be an unsigned integer in
+/// [lo, hi] (no sign, no padding, no trailing junk, no silent 0 for "abc",
+/// no wrap).  Records the first violation in args.bad_value; main() then
+/// rejects the run as config_invalid.
+bool parse_int(Args& args, std::string_view what, const std::string& token, u64 lo, u64 hi,
+               u64& out, int base = 10) {
+  char* end = nullptr;
+  errno = 0;
+  const bool bare = !token.empty() && token[0] != '-' &&
+                    std::isspace(static_cast<unsigned char>(token[0])) == 0;
+  const u64 value = bare ? std::strtoull(token.c_str(), &end, base) : 0;
+  if (bare && errno != ERANGE && end == token.c_str() + token.size() && value >= lo &&
+      value <= hi) {
+    out = value;
+    return true;
+  }
+  if (args.bad_value.empty()) {
+    args.bad_value = std::string{what} + ": expected an integer in [" + std::to_string(lo) +
+                     ", " + std::to_string(hi) + "], got '" + token + "'";
+  }
+  return false;
 }
 
 sim::MemoryConfig config_from(const Args& args, i64 m, i64 nc) {
   return sim::MemoryConfig{
       .banks = m,
-      .sections = args.sections > 0 ? args.sections : m,
+      .sections = args.num("--sections") > 0 ? args.num("--sections") : m,
       .bank_cycle = nc,
-      .mapping = args.consecutive ? sim::SectionMapping::consecutive
-                                  : sim::SectionMapping::cyclic,
-      .priority = args.cyclic_priority ? sim::PriorityRule::cyclic : sim::PriorityRule::fixed};
+      .mapping = args.flag("--consecutive") ? sim::SectionMapping::consecutive
+                                            : sim::SectionMapping::cyclic,
+      .priority = args.flag("--cyclic-priority") ? sim::PriorityRule::cyclic
+                                                 : sim::PriorityRule::fixed};
 }
 
 /// Human-readable output stream.  With `--json -` the JSON document owns
 /// stdout, so the human summary moves to stderr and stdout stays parseable.
 std::ostream& human(const Args& args) {
-  return args.json_path == "-" ? std::cerr : std::cout;
+  return args.json_path() == "-" ? std::cerr : std::cout;
 }
 
-/// Write `doc` to args.json_path when set ('-' = stdout).  Returns false
+/// Write `doc` to args.json_path() when set ('-' = stdout).  Returns false
 /// (and reports) on I/O failure.
 bool maybe_write_json(const Args& args, const Json& doc) {
-  if (args.json_path.empty()) return true;
-  if (args.json_path == "-") {
-    doc.dump(std::cout, 2);
-    std::cout << '\n';
-    return true;
-  }
-  std::ofstream out{args.json_path};
+  if (args.json_path().empty()) return true;
+  std::ofstream file;
+  if (args.json_path() != "-") file.open(args.json_path());
+  std::ostream& out = args.json_path() == "-" ? std::cout : file;
   if (!out) {
-    std::cerr << "error: cannot open '" << args.json_path << "' for writing\n";
+    std::cerr << "error: cannot open '" << args.json_path() << "' for writing\n";
     return false;
   }
   doc.dump(out, 2);
@@ -361,8 +184,133 @@ Json json_of_ports(const std::vector<sim::PortStats>& ports) {
   return out;
 }
 
-Json json_of_triad(const xmp::TriadResult& r, const xmp::TriadSetup& setup, bool dedicated) {
-  Json out = Json::object();
+int cmd_single(const Args& args, Json& doc) {
+  const auto [m, nc, d] = std::tuple{args.positional[0], args.positional[1], args.positional[2]};
+  const core::SingleStreamReport r = core::analyze_single(config_from(args, m, nc), d);
+  human(args) << "m=" << m << " nc=" << nc << " d=" << d << ": return number "
+              << r.return_number << ", predicted b_eff " << r.predicted.str() << ", simulated "
+              << r.simulated.str() << (r.consistent() ? "" : "  [MISMATCH]") << '\n';
+  doc["m"] = m;
+  doc["nc"] = nc;
+  doc["d"] = d;
+  doc["return_number"] = r.return_number;
+  doc["predicted_b_eff"] = obs::json_of(r.predicted);
+  doc["simulated_b_eff"] = obs::json_of(r.simulated);
+  doc["consistent"] = r.consistent();
+  if (!args.json_path().empty()) {
+    doc["report"] = obs::report_run(config_from(args, m, nc),
+                                    {sim::StreamConfig{.start_bank = 0, .distance = d}})
+                        .to_json();
+  }
+  return 0;
+}
+
+int cmd_pair(const Args& args, Json& doc) {
+  const auto cfg = config_from(args, args.positional[0], args.positional[1]);
+  const core::PairReport r =
+      core::analyze_pair(cfg, args.positional[2], args.positional[3], args.flag("--same-cpu"));
+  const sim::OffsetSweep& sweep = r.sweep;  // run once, for the result and the telemetry
+  human(args) << r.summary() << "\nby offset:";
+  for (std::size_t b2 = 0; b2 < sweep.by_offset.size(); ++b2) {
+    human(args) << ' ' << b2 << ':' << sweep.by_offset[b2].str();
+  }
+  human(args) << '\n';
+  std::cerr << "sweep telemetry: " << sweep.by_offset.size() << " offsets, "
+            << sweep.cycles_simulated << " simulated cycles in " << sweep.wall_seconds
+            << " s (" << sweep.cycles_per_second() << " cycles/s)\n";
+  doc["m"] = r.m;
+  doc["nc"] = r.nc;
+  doc["d1"] = r.d1;
+  doc["d2"] = r.d2;
+  doc["same_cpu"] = args.flag("--same-cpu");
+  doc["classification"] = analytic::to_string(r.prediction.cls);
+  doc["predicted_b_eff"] =
+      r.prediction.bandwidth ? obs::json_of(*r.prediction.bandwidth) : Json{nullptr};
+  doc["sim_min"] = obs::json_of(sweep.min_bandwidth);
+  doc["sim_max"] = obs::json_of(sweep.max_bandwidth);
+  Json by_offset = Json::array();
+  for (const auto& bw : sweep.by_offset) by_offset.push_back(obs::json_of(bw));
+  doc["by_offset"] = std::move(by_offset);
+  Json perf = Json::object();
+  perf["points"] = sweep.by_offset.size();
+  perf["wall_seconds"] = sweep.wall_seconds;
+  perf["simulated_cycles"] = sweep.cycles_simulated;
+  perf["cycles_per_second"] = sweep.cycles_per_second();
+  doc["sweep_perf"] = std::move(perf);
+  return 0;
+}
+
+int cmd_render(const Args& args, Json& doc) {
+  const std::vector<i64>& p = args.positional;
+  const auto cfg = config_from(args, p[0], p[1]);
+  const auto streams = sim::two_streams(p[4], p[2], p[5], p[3], args.flag("--same-cpu"));
+  const i64 cycles = p.size() > 6 ? p[6] : 3 * p[0];
+  const std::string diagram = trace::render_run(cfg, streams, cycles, cfg.sections != p[0]);
+  human(args) << diagram;
+  const auto ss = sim::find_steady_state(cfg, streams);
+  human(args) << "steady-state b_eff = " << ss.bandwidth.str() << '\n';
+  doc["diagram"] = diagram;
+  if (!args.json_path().empty()) doc["report"] = obs::report_run(cfg, streams).to_json();
+  return 0;
+}
+
+/// The report/trace/faults positional convention: <m> <nc> <d1> [d2 [b1 b2]],
+/// one stream or two, with --length making the streams finite.
+std::vector<sim::StreamConfig> report_streams(const Args& args) {
+  const std::vector<i64>& p = args.positional;
+  std::vector<sim::StreamConfig> streams =
+      p.size() == 3 ? std::vector{sim::StreamConfig{.start_bank = 0, .distance = p[2]}}
+                    : sim::two_streams(p.size() == 6 ? p[4] : 0, p[2], p.size() == 6 ? p[5] : 0,
+                                       p[3], args.flag("--same-cpu"));
+  if (args.num("--length") > 0) {
+    for (auto& s : streams) s.length = args.num("--length");
+  }
+  return streams;
+}
+
+int cmd_report(const Args& args, Json& doc) {
+  const auto cfg = config_from(args, args.positional[0], args.positional[1]);
+  const std::vector<sim::StreamConfig> streams = report_streams(args);
+  obs::ReportOptions options;
+  options.cycles = args.num("--cycles");
+  const obs::RunReport report = obs::report_run(cfg, streams, options);
+  std::cerr << "report: " << report.kind << ", " << report.perf.cycles_simulated
+            << " simulated cycles in " << report.perf.wall_seconds << " s ("
+            << report.perf.cycles_per_second() << " cycles/s)\n";
+  if (args.json_path().empty()) {
+    report.write_json(std::cout);
+  } else {
+    doc = report.to_json();
+  }
+  return 0;
+}
+
+/// `triad` (the Section IV kernel, plus the other CPU's b_eff) and
+/// `kernel <name>`: one kernel run on the X-MP model.
+int cmd_xmp(const Args& args, Json& doc) {
+  const bool triad = args.command == "triad";
+  const std::string name = triad ? "triad" : args.word;
+  const auto& kernels = xmp::all_kernels();
+  const auto spec = std::ranges::find_if(kernels, [&](const auto& k) { return k.name == name; });
+  if (spec == kernels.end()) {
+    std::cerr << "unknown kernel '" << name << "'; choose from:";
+    for (const auto& k : kernels) std::cerr << ' ' << k.name;
+    std::cerr << '\n';
+    return 2;
+  }
+  xmp::TriadSetup setup;
+  setup.n = args.positional[triad ? 0 : 1];  // kernel's slot 0 is the name
+  setup.inc = args.positional[triad ? 1 : 2];
+  const bool dedicated = args.flag("--dedicated");
+  const xmp::TriadResult r = xmp::run_kernel(xmp::XmpConfig{}, *spec, setup, !dedicated);
+  human(args) << name << " n=" << setup.n << " inc=" << setup.inc
+              << (dedicated ? " (dedicated)" : " (contended)") << ": " << r.cycles
+              << " cycles, conflicts bank=" << r.conflicts.bank
+              << " section=" << r.conflicts.section << " simult=" << r.conflicts.simultaneous;
+  if (triad && !dedicated) human(args) << ", other CPU b_eff " << cell(r.background_goodput(), 3);
+  human(args) << '\n';
+  if (!triad) doc["kernel"] = name;
+  Json& out = doc["result"] = Json::object();
   out["n"] = setup.n;
   out["inc"] = setup.inc;
   out["idim"] = setup.idim;
@@ -373,235 +321,47 @@ Json json_of_triad(const xmp::TriadResult& r, const xmp::TriadSetup& setup, bool
   out["background_goodput"] = r.background_goodput();
   out["ports"] = json_of_ports(r.triad_ports);
   out["background_ports"] = json_of_ports(r.background_ports);
-  return out;
-}
-
-int cmd_single(const Args& args) {
-  if (args.positional.size() != 3) return usage();
-  const auto [m, nc, d] = std::tuple{args.positional[0], args.positional[1], args.positional[2]};
-  const core::SingleStreamReport r = core::analyze_single(config_from(args, m, nc), d);
-  human(args) << "m=" << m << " nc=" << nc << " d=" << d << ": return number "
-            << r.return_number << ", predicted b_eff " << r.predicted.str() << ", simulated "
-            << r.simulated.str() << (r.consistent() ? "" : "  [MISMATCH]") << '\n';
-  if (!args.json_path.empty()) {
-    Json doc = cli_envelope("single");
-    doc["m"] = m;
-    doc["nc"] = nc;
-    doc["d"] = d;
-    doc["return_number"] = r.return_number;
-    doc["predicted_b_eff"] = obs::json_of(r.predicted);
-    doc["simulated_b_eff"] = obs::json_of(r.simulated);
-    doc["consistent"] = r.consistent();
-    doc["report"] = obs::report_run(config_from(args, m, nc),
-                                    {sim::StreamConfig{.start_bank = 0, .distance = d}})
-                        .to_json();
-    if (!maybe_write_json(args, doc)) return 1;
-  }
   return 0;
 }
 
-int cmd_pair(const Args& args) {
-  if (args.positional.size() != 4) return usage();
-  const auto cfg = config_from(args, args.positional[0], args.positional[1]);
-  const core::PairReport r =
-      core::analyze_pair(cfg, args.positional[2], args.positional[3], args.same_cpu);
-  human(args) << r.summary() << "\nby offset:";
-  for (std::size_t b2 = 0; b2 < r.by_offset.size(); ++b2) {
-    human(args) << ' ' << b2 << ':' << r.by_offset[b2].str();
-  }
-  human(args) << '\n';
-  // The offset sweep's perf telemetry (purely observational).
-  const sim::OffsetSweep sweep =
-      sim::sweep_start_offsets(cfg, args.positional[2], args.positional[3], args.same_cpu);
-  std::cerr << "sweep telemetry: " << sweep.by_offset.size() << " offsets, "
-            << sweep.cycles_simulated << " simulated cycles in " << sweep.wall_seconds
-            << " s (" << sweep.cycles_per_second() << " cycles/s)\n";
-  if (!args.json_path.empty()) {
-    Json doc = cli_envelope("pair");
-    doc["m"] = r.m;
-    doc["nc"] = r.nc;
-    doc["d1"] = r.d1;
-    doc["d2"] = r.d2;
-    doc["same_cpu"] = args.same_cpu;
-    doc["classification"] = analytic::to_string(r.prediction.cls);
-    doc["predicted_b_eff"] =
-        r.prediction.bandwidth ? obs::json_of(*r.prediction.bandwidth) : Json{nullptr};
-    doc["sim_min"] = obs::json_of(r.sim_min);
-    doc["sim_max"] = obs::json_of(r.sim_max);
-    Json by_offset = Json::array();
-    for (const auto& bw : r.by_offset) by_offset.push_back(obs::json_of(bw));
-    doc["by_offset"] = std::move(by_offset);
-    Json perf = Json::object();
-    perf["points"] = sweep.by_offset.size();
-    perf["wall_seconds"] = sweep.wall_seconds;
-    perf["simulated_cycles"] = sweep.cycles_simulated;
-    perf["cycles_per_second"] = sweep.cycles_per_second();
-    doc["sweep_perf"] = std::move(perf);
-    if (!maybe_write_json(args, doc)) return 1;
-  }
-  return 0;
-}
-
-int cmd_render(const Args& args) {
-  if (args.positional.size() < 6) return usage();
-  const i64 m = args.positional[0];
-  const i64 nc = args.positional[1];
-  const i64 cycles = args.positional.size() > 6 ? args.positional[6] : 3 * m;
-  const auto streams = sim::two_streams(args.positional[4], args.positional[2],
-                                        args.positional[5], args.positional[3], args.same_cpu);
-  const auto cfg = config_from(args, m, nc);
-  const std::string diagram = trace::render_run(cfg, streams, cycles, cfg.sections != m);
-  human(args) << diagram;
-  const auto ss = sim::find_steady_state(cfg, streams);
-  human(args) << "steady-state b_eff = " << ss.bandwidth.str() << '\n';
-  if (!args.json_path.empty()) {
-    Json doc = cli_envelope("render");
-    doc["diagram"] = diagram;
-    doc["report"] = obs::report_run(cfg, streams).to_json();
-    if (!maybe_write_json(args, doc)) return 1;
-  }
-  return 0;
-}
-
-/// The report/trace positional convention: <m> <nc> <d1> [d2 [b1 b2]],
-/// one stream or two, with --length making the streams finite.
-std::vector<sim::StreamConfig> report_streams(const Args& args) {
-  std::vector<sim::StreamConfig> streams;
-  if (args.positional.size() == 3) {
-    streams.push_back(sim::StreamConfig{.start_bank = 0, .distance = args.positional[2]});
-  } else {
-    const i64 b1 = args.positional.size() == 6 ? args.positional[4] : 0;
-    const i64 b2 = args.positional.size() == 6 ? args.positional[5] : 0;
-    streams = sim::two_streams(b1, args.positional[2], b2, args.positional[3], args.same_cpu);
-  }
-  if (args.length > 0) {
-    for (auto& s : streams) s.length = args.length;
-  }
-  return streams;
-}
-
-int cmd_report(const Args& args) {
-  if (args.positional.size() != 3 && args.positional.size() != 4 &&
-      args.positional.size() != 6) {
-    return usage();
-  }
-  const auto cfg = config_from(args, args.positional[0], args.positional[1]);
-  const std::vector<sim::StreamConfig> streams = report_streams(args);
-  obs::ReportOptions options;
-  options.cycles = args.cycles;
-  const obs::RunReport report = obs::report_run(cfg, streams, options);
-  std::cerr << "report: " << report.kind << ", " << report.perf.cycles_simulated
-            << " simulated cycles in " << report.perf.wall_seconds << " s ("
-            << report.perf.cycles_per_second() << " cycles/s)\n";
-  if (args.json_path.empty()) {
-    report.write_json(std::cout);
-    return 0;
-  }
-  return maybe_write_json(args, report.to_json()) ? 0 : 1;
-}
-
-int cmd_triad(const Args& args) {
-  if (args.positional.size() != 2) return usage();
-  xmp::XmpConfig machine;
-  xmp::TriadSetup setup;
-  setup.n = args.positional[0];
-  setup.inc = args.positional[1];
-  const xmp::TriadResult r = xmp::run_triad(machine, setup, !args.dedicated);
-  human(args) << "triad n=" << setup.n << " inc=" << setup.inc
-            << (args.dedicated ? " (dedicated)" : " (contended)") << ": " << r.cycles
-            << " cycles, conflicts bank=" << r.conflicts.bank
-            << " section=" << r.conflicts.section << " simult=" << r.conflicts.simultaneous;
-  if (!args.dedicated) human(args) << ", other CPU b_eff " << cell(r.background_goodput(), 3);
-  human(args) << '\n';
-  if (!args.json_path.empty()) {
-    Json doc = cli_envelope("triad");
-    doc["result"] = json_of_triad(r, setup, args.dedicated);
-    if (!maybe_write_json(args, doc)) return 1;
-  }
-  return 0;
-}
-
-int cmd_diagnose(const Args& args) {
-  if (args.positional.size() != 4) return usage();
+int cmd_diagnose(const Args& args, Json& doc) {
   const auto cfg = config_from(args, args.positional[0], args.positional[1]);
   obs::SweepTelemetry telemetry;
-  const core::RegimeSweep sweep = core::sweep_regimes(cfg, args.positional[2],
-                                                      args.positional[3], args.same_cpu,
-                                                      &telemetry);
+  const core::RegimeSweep sweep = core::sweep_regimes(
+      cfg, args.positional[2], args.positional[3], args.flag("--same-cpu"), &telemetry);
   for (std::size_t b2 = 0; b2 < sweep.by_offset.size(); ++b2) {
     human(args) << "b2=" << b2 << ": " << sweep.by_offset[b2].summary() << '\n';
   }
   std::cerr << "sweep telemetry: " << telemetry.summary() << '\n';
-  if (!args.json_path.empty()) {
-    Json doc = cli_envelope("diagnose");
-    Json by_offset = Json::array();
-    for (const auto& d : sweep.by_offset) {
-      Json entry = Json::object();
-      entry["regime"] = core::to_string(d.regime);
-      entry["b_eff"] = obs::json_of(d.bandwidth);
-      entry["conflicts_in_period"] = obs::json_of(d.conflicts_in_period);
-      entry["period"] = d.period;
-      entry["transient_cycles"] = d.transient_cycles;
-      by_offset.push_back(std::move(entry));
-    }
-    doc["by_offset"] = std::move(by_offset);
-    doc["sweep_perf"] = telemetry.to_json();
-    if (!maybe_write_json(args, doc)) return 1;
+  Json by_offset = Json::array();
+  for (const auto& d : sweep.by_offset) {
+    Json entry = Json::object();
+    entry["regime"] = core::to_string(d.regime);
+    entry["b_eff"] = obs::json_of(d.bandwidth);
+    entry["conflicts_in_period"] = obs::json_of(d.conflicts_in_period);
+    entry["period"] = d.period;
+    entry["transient_cycles"] = d.transient_cycles;
+    by_offset.push_back(std::move(entry));
   }
+  doc["by_offset"] = std::move(by_offset);
+  doc["sweep_perf"] = telemetry.to_json();
   return 0;
 }
 
-int cmd_kernel(const Args& args) {
-  if (args.positional.size() != 2 || args.word.empty()) return usage();
-  const xmp::KernelSpec* spec = nullptr;
-  for (const auto& k : xmp::all_kernels()) {
-    if (k.name == args.word) spec = &k;
-  }
-  if (spec == nullptr) {
-    std::cerr << "unknown kernel '" << args.word << "'; choose from:";
-    for (const auto& k : xmp::all_kernels()) std::cerr << ' ' << k.name;
-    std::cerr << '\n';
-    return 2;
-  }
-  xmp::XmpConfig machine;
-  xmp::TriadSetup setup;
-  setup.n = args.positional[0];
-  setup.inc = args.positional[1];
-  const xmp::TriadResult r = xmp::run_kernel(machine, *spec, setup, !args.dedicated);
-  human(args) << spec->name << " n=" << setup.n << " inc=" << setup.inc
-            << (args.dedicated ? " (dedicated)" : " (contended)") << ": " << r.cycles
-            << " cycles, conflicts bank=" << r.conflicts.bank
-            << " section=" << r.conflicts.section << " simult=" << r.conflicts.simultaneous
-            << '\n';
-  if (!args.json_path.empty()) {
-    Json doc = cli_envelope("kernel");
-    doc["kernel"] = spec->name;
-    doc["result"] = json_of_triad(r, setup, args.dedicated);
-    if (!maybe_write_json(args, doc)) return 1;
-  }
-  return 0;
-}
-
-int cmd_idim(const Args& args) {
-  if (args.positional.size() != 5) return usage();
-  const auto cfg = config_from(args, args.positional[0], args.positional[1]);
-  const i64 idim = core::recommend_idim(cfg, args.positional[2], args.positional[3],
-                                        args.positional[4], args.same_cpu);
-  const auto sweep = core::sweep_array_spacing(cfg, args.positional[2], args.positional[3],
-                                               args.same_cpu);
+int cmd_idim(const Args& args, Json& doc) {
+  const std::vector<i64>& p = args.positional;
+  const auto cfg = config_from(args, p[0], p[1]);
+  const i64 idim = core::recommend_idim(cfg, p[2], p[3], p[4], args.flag("--same-cpu"));
+  const auto sweep = core::sweep_array_spacing(cfg, p[2], p[3], args.flag("--same-cpu"));
   human(args) << "recommended IDIM " << idim << " (spacing " << mod_norm(idim, cfg.banks)
-            << " mod " << cfg.banks << ", group b_eff " << sweep.best_bandwidth.str()
-            << "; worst spacing " << sweep.worst_spacing << " -> "
-            << sweep.worst_bandwidth.str() << ")\n";
-  if (!args.json_path.empty()) {
-    Json doc = cli_envelope("idim");
-    doc["recommended_idim"] = idim;
-    doc["spacing"] = mod_norm(idim, cfg.banks);
-    doc["best_b_eff"] = obs::json_of(sweep.best_bandwidth);
-    doc["worst_spacing"] = sweep.worst_spacing;
-    doc["worst_b_eff"] = obs::json_of(sweep.worst_bandwidth);
-    if (!maybe_write_json(args, doc)) return 1;
-  }
+              << " mod " << cfg.banks << ", group b_eff " << sweep.best_bandwidth.str()
+              << "; worst spacing " << sweep.worst_spacing << " -> "
+              << sweep.worst_bandwidth.str() << ")\n";
+  doc["recommended_idim"] = idim;
+  doc["spacing"] = mod_norm(idim, cfg.banks);
+  doc["best_b_eff"] = obs::json_of(sweep.best_bandwidth);
+  doc["worst_spacing"] = sweep.worst_spacing;
+  doc["worst_b_eff"] = obs::json_of(sweep.worst_bandwidth);
   return 0;
 }
 
@@ -626,8 +386,8 @@ Json failure_report(const check::FuzzFailure& failure) {
   return entry;
 }
 
-int replay_one(const Args& args) {
-  const check::FuzzCase c = check::parse_repro(args.replay_line);
+int replay_one(const Args& args, Json& doc) {
+  const check::FuzzCase c = check::parse_repro(args.text("--replay"));
   const check::CaseResult result =
       check::check_case(c, {}, /*run_invariants=*/c.fault == check::FaultKind::none);
   human(args) << "replay: " << check::encode_repro(c) << '\n';
@@ -638,37 +398,32 @@ int replay_one(const Args& args) {
     human(args) << "  all " << result.checks_run << " checks passed ("
                 << result.events_compared << " events compared)\n";
   }
-  if (!args.json_path.empty()) {
-    Json doc = cli_envelope("fuzz");
-    doc["replay"] = args.replay_line;
-    doc["ok"] = result.ok();
-    doc["checks_run"] = result.checks_run;
-    doc["events_compared"] = result.events_compared;
-    Json failures = Json::array();
-    for (const auto& f : result.failures) {
-      Json entry = Json::object();
-      entry["check"] = f.check;
-      entry["message"] = f.message;
-      failures.push_back(std::move(entry));
-    }
-    doc["failures"] = std::move(failures);
-    if (!maybe_write_json(args, doc)) return 1;
+  doc["replay"] = args.text("--replay");
+  doc["ok"] = result.ok();
+  doc["checks_run"] = result.checks_run;
+  doc["events_compared"] = result.events_compared;
+  Json failures = Json::array();
+  for (const auto& f : result.failures) {
+    Json entry = Json::object();
+    entry["check"] = f.check;
+    entry["message"] = f.message;
+    failures.push_back(std::move(entry));
   }
+  doc["failures"] = std::move(failures);
   return result.ok() ? 0 : 1;
 }
 
-int cmd_fuzz(const Args& args) {
-  if (!args.replay_line.empty()) return replay_one(args);
-  if (args.positional.size() > 1) return usage();
+int cmd_fuzz(const Args& args, Json& doc) {
+  if (!args.text("--replay").empty()) return replay_one(args, doc);
 
   check::FuzzOptions options;
-  options.seed = args.seed;
+  if (args.flag("--seed")) options.seed = static_cast<std::uint64_t>(args.num("--seed"));
   if (!args.positional.empty()) options.iterations = args.positional[0];
-  if (args.cycles > 0) options.cycles = args.cycles;
-  if (!args.fault.empty()) options.fault = check::fault_from_string(args.fault);
-  options.fault_plans = args.fault_plans;
-  options.shrink_failures = !args.no_shrink;
-  options.jobs = args.jobs;
+  if (args.num("--cycles") > 0) options.cycles = args.num("--cycles");
+  if (!args.text("--fault").empty()) options.fault = check::fault_from_string(args.text("--fault"));
+  options.fault_plans = args.flag("--fault-plans");
+  options.shrink_failures = !args.flag("--no-shrink");
+  options.jobs = static_cast<int>(args.num("--jobs", 1));
   exec::install_signal_handlers();
   options.cancel = &exec::process_cancel_token();
 
@@ -696,16 +451,14 @@ int cmd_fuzz(const Args& args) {
     human(args) << summary.failures.size() << " failing case(s); re-run one with\n"
                 << "  vpmem_cli fuzz --replay '<line>'\n";
   }
-  if (!args.json_path.empty()) {
-    Json doc = cli_envelope("fuzz");
-    doc["status"] = summary.interrupted ? "interrupted"
-                    : summary.failures.empty() ? "ok" : "failed";
-    doc["summary"] = summary.to_json();
-    Json reports = Json::array();
+  doc["status"] = summary.interrupted ? "interrupted"
+                  : summary.failures.empty() ? "ok" : "failed";
+  doc["summary"] = summary.to_json();
+  Json reports = Json::array();
+  if (!args.json_path().empty()) {
     for (const auto& f : summary.failures) reports.push_back(failure_report(f));
-    doc["failure_reports"] = std::move(reports);
-    if (!maybe_write_json(args, doc)) return 1;
   }
+  doc["failure_reports"] = std::move(reports);
   if (summary.interrupted) return 7;
   return summary.failures.empty() ? 0 : 1;
 }
@@ -713,96 +466,80 @@ int cmd_fuzz(const Args& args) {
 /// The `faults` plan source: --plan (vpmem.fault_plan/1 JSON file) or
 /// --inline (the compact FaultPlan::parse spec); --policy overrides.
 sim::FaultPlan load_plan(const Args& args) {
-  if (!args.plan_path.empty() && !args.plan_inline.empty()) {
+  if (args.flag("--plan") && args.flag("--inline")) {
     throw Error{ErrorCode::fault_plan_invalid, "pass either --plan or --inline, not both"};
   }
   sim::FaultPlan plan;
-  if (!args.plan_path.empty()) {
-    std::ifstream in{args.plan_path};
+  if (args.flag("--plan")) {
+    std::ifstream in{args.text("--plan")};
     if (!in) {
       throw Error{ErrorCode::fault_plan_invalid,
-                  "cannot open fault plan '" + args.plan_path + "'"};
+                  "cannot open fault plan '" + args.text("--plan") + "'"};
     }
     std::ostringstream text;
     text << in.rdbuf();
     plan = sim::FaultPlan::from_json(Json::parse(text.str()));
-  } else if (!args.plan_inline.empty()) {
-    plan = sim::FaultPlan::parse(args.plan_inline);
+  } else {
+    plan = sim::FaultPlan::parse(args.text("--inline"));
   }
-  if (!args.policy.empty()) plan.policy = sim::fault_policy_from_string(args.policy);
+  if (args.flag("--policy")) plan.policy = sim::fault_policy_from_string(args.text("--policy"));
   return plan;
 }
 
-/// One bandwidth phase of a degraded run: the half-open cycle range
-/// between consecutive fault events.
-struct FaultPhase {
-  i64 begin = 0;
-  i64 end = 0;
-  i64 grants = 0;
-  i64 online_banks = 0;  ///< surviving banks while the phase ran
-  [[nodiscard]] double bandwidth() const noexcept {
-    return end == begin ? 0.0 : static_cast<double>(grants) / static_cast<double>(end - begin);
-  }
-};
-
 /// Re-simulate the guarded window and split it at fault-event cycles (the
-/// aggregate RunReport has no time axis).
-std::vector<FaultPhase> fault_phases(const sim::MemoryConfig& cfg,
-                                     const std::vector<sim::StreamConfig>& streams,
-                                     const sim::FaultPlan& plan, i64 cycles) {
+/// aggregate RunReport has no time axis): one entry per half-open phase
+/// with its grants, surviving banks and bandwidth.
+Json fault_phases(const sim::MemoryConfig& cfg, const std::vector<sim::StreamConfig>& streams,
+                  const sim::FaultPlan& plan, i64 cycles) {
   std::vector<i64> bounds{0};
   for (const auto& e : plan.events) {
     if (e.cycle > 0 && e.cycle < cycles && e.cycle != bounds.back()) bounds.push_back(e.cycle);
   }
   if (cycles > bounds.back()) bounds.push_back(cycles);
-  std::vector<FaultPhase> phases;
-  if (bounds.size() < 2) return phases;
+  Json phases = Json::array();
   sim::MemorySystem mem{cfg, streams, plan};
   i64 prev_grants = 0;
   for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
-    FaultPhase phase;
-    phase.begin = bounds[i];
-    phase.end = bounds[i + 1];
     // Step the first period so the events due at the boundary are applied,
     // then read the surviving-bank count the phase runs with.
     mem.run(1, /*stop_when_finished=*/false);
-    phase.online_banks = mem.surviving_banks();
-    mem.run(phase.end - phase.begin - 1, /*stop_when_finished=*/false);
+    const i64 online_banks = mem.surviving_banks();
+    mem.run(bounds[i + 1] - bounds[i] - 1, /*stop_when_finished=*/false);
     i64 grants = 0;
     for (const auto& p : mem.all_stats()) grants += p.grants;
-    phase.grants = grants - prev_grants;
+    Json phase = Json::object();
+    phase["begin"] = bounds[i];
+    phase["end"] = bounds[i + 1];
+    phase["grants"] = grants - prev_grants;
+    phase["online_banks"] = online_banks;
+    phase["bandwidth"] =
+        static_cast<double>(grants - prev_grants) / static_cast<double>(bounds[i + 1] - bounds[i]);
+    phases.push_back(std::move(phase));
     prev_grants = grants;
-    phases.push_back(phase);
   }
   return phases;
 }
 
-int cmd_faults(const Args& args) {
-  if (args.positional.size() != 3 && args.positional.size() != 4 &&
-      args.positional.size() != 6) {
-    return usage();
-  }
-  if (args.plan_path.empty() && args.plan_inline.empty()) return usage();
+int cmd_faults(const Args& args, Json& doc) {
   const auto cfg = config_from(args, args.positional[0], args.positional[1]);
   const std::vector<sim::StreamConfig> streams = report_streams(args);
   const sim::FaultPlan plan = load_plan(args);
-  const bool infinite = streams.front().length == sim::kInfiniteLength;
 
   obs::ReportOptions options;
-  options.cycles = args.cycles;
-  if (infinite && options.cycles <= 0) {
+  options.cycles = args.num("--cycles");
+  if (streams.front().length == sim::kInfiniteLength && options.cycles <= 0) {
     // Automatic horizon: cover every fault event plus a healthy tail so
     // before/during/after phases are all visible.
     const i64 last = plan.events.empty() ? 0 : plan.events.back().cycle;
     options.cycles = last + 8 * cfg.banks * cfg.bank_cycle;
   }
   sim::Watchdog watchdog;
-  if (args.max_cycles > 0) watchdog.max_cycles = args.max_cycles;
+  if (args.num("--max-cycles") > 0) watchdog.max_cycles = args.num("--max-cycles");
   exec::install_signal_handlers();
   watchdog.cancel = exec::process_cancel_token().flag();
 
   const obs::RunReport report = obs::report_run_guarded(cfg, streams, plan, options, watchdog);
-  const std::vector<FaultPhase> phases = fault_phases(cfg, streams, plan, report.cycles);
+  const Json phases = fault_phases(cfg, streams, plan, report.cycles);
 
   human(args) << "faults: policy " << sim::to_string(plan.policy) << ", "
               << plan.events.size() << " event(s), status " << report.status;
@@ -812,49 +549,20 @@ int cmd_faults(const Args& args) {
               << " simult=" << report.conflicts.simultaneous
               << " section=" << report.conflicts.section
               << " fault=" << report.conflicts.fault << '\n';
-  for (const auto& phase : phases) {
-    human(args) << "  cycles [" << phase.begin << ", " << phase.end << "): b_eff "
-                << phase.bandwidth() << " (" << phase.online_banks << "/" << cfg.banks
-                << " banks online)\n";
+  for (const Json& phase : phases.as_array()) {
+    human(args) << "  cycles [" << phase.at("begin").as_int() << ", " << phase.at("end").as_int()
+                << "): b_eff " << phase.at("bandwidth").as_double() << " ("
+                << phase.at("online_banks").as_int() << "/" << cfg.banks << " banks online)\n";
   }
 
-  if (!args.json_path.empty()) {
-    Json doc = cli_envelope("faults");
-    doc["plan"] = plan.to_json();
-    doc["status"] = report.status;
-    Json phase_list = Json::array();
-    for (const auto& phase : phases) {
-      Json entry = Json::object();
-      entry["begin"] = phase.begin;
-      entry["end"] = phase.end;
-      entry["grants"] = phase.grants;
-      entry["online_banks"] = phase.online_banks;
-      entry["bandwidth"] = phase.bandwidth();
-      phase_list.push_back(std::move(entry));
-    }
-    doc["phases"] = std::move(phase_list);
-    doc["report"] = report.to_json();
-    if (!maybe_write_json(args, doc)) return 1;
-  }
+  doc["plan"] = plan.to_json();
+  doc["status"] = report.status;
+  doc["phases"] = phases;
+  doc["report"] = report.to_json();
   if (report.status == "deadline_exceeded") return 5;
   if (report.status == "livelock") return 6;
   if (report.status == "interrupted") return 7;
   return 0;
-}
-
-/// Inclusive "A:B" stride range ("A" alone = the single value A).
-bool parse_range(const std::string& text, i64& lo, i64& hi) {
-  if (text.empty()) return false;
-  const std::size_t colon = text.find(':');
-  char* end = nullptr;
-  lo = std::strtoll(text.c_str(), &end, 10);
-  if (colon == std::string::npos) {
-    hi = lo;
-    return end == text.c_str() + text.size();
-  }
-  if (end != text.c_str() + colon) return false;
-  hi = std::strtoll(text.c_str() + colon + 1, &end, 10);
-  return end == text.c_str() + text.size() && lo <= hi;
 }
 
 /// The canonical config-hash preimage of one sweep point.  This string —
@@ -876,10 +584,10 @@ std::string sweep_point_repro(const Args& args, i64 m, i64 nc, i64 d1, i64 d2) {
   std::ostringstream r;
   r << "sweep " << m << ' ' << nc << " --d1 " << d1 << ':' << d1 << " --d2 " << d2 << ':'
     << d2;
-  if (args.same_cpu) r << " --same-cpu";
-  if (args.sections > 0) r << " --sections " << args.sections;
-  if (args.cyclic_priority) r << " --cyclic-priority";
-  if (args.consecutive) r << " --consecutive";
+  if (args.flag("--same-cpu")) r << " --same-cpu";
+  if (args.num("--sections") > 0) r << " --sections " << args.num("--sections");
+  if (args.flag("--cyclic-priority")) r << " --cyclic-priority";
+  if (args.flag("--consecutive")) r << " --consecutive";
   return r.str();
 }
 
@@ -920,7 +628,7 @@ Json sweep_results_doc(const Args& args, const sim::MemoryConfig& cfg,
   Json doc = Json::object();
   doc["schema"] = "vpmem.sweep_results/1";
   doc["config"] = obs::json_of(cfg);
-  doc["same_cpu"] = args.same_cpu;
+  doc["same_cpu"] = args.flag("--same-cpu");
   Json points = Json::array();
   for (const auto& r : summary.results) {
     Json p = Json::object();
@@ -938,20 +646,18 @@ Json sweep_results_doc(const Args& args, const sim::MemoryConfig& cfg,
   return doc;
 }
 
-int cmd_sweep(const Args& args) {
-  if (args.positional.size() != 2) return usage();
-  i64 d1_lo = 0, d1_hi = 0, d2_lo = 0, d2_hi = 0;
-  if (!parse_range(args.d1_range, d1_lo, d1_hi) || !parse_range(args.d2_range, d2_lo, d2_hi)) {
-    std::cerr << "sweep: --d1 and --d2 take an inclusive range A:B\n";
-    return usage();
-  }
-  if (args.resume && args.journal.empty()) {
+int cmd_sweep(const Args& args, Json& doc) {
+  const auto [d1_lo, d1_hi] = args.range("--d1");
+  const auto [d2_lo, d2_hi] = args.range("--d2");
+  if (args.flag("--resume") && args.text("--journal").empty()) {
     std::cerr << "sweep: --resume needs --journal\n";
-    return usage();
+    return 2;
   }
-  const auto cfg = config_from(args, args.positional[0], args.positional[1]);
-  const i64 m = args.positional[0];
-  const i64 nc = args.positional[1];
+  const auto [m, nc] = std::pair{args.positional[0], args.positional[1]};
+  const auto cfg = config_from(args, m, nc);
+  cfg.validate();  // one machine for every point: reject it before the campaign
+  const bool same_cpu = args.flag("--same-cpu");
+  const i64 throttle_ms = args.num("--throttle-ms");
 
   std::vector<exec::JobSpec> jobs;
   jobs.reserve(static_cast<std::size_t>((d1_hi - d1_lo + 1) * (d2_hi - d2_lo + 1)));
@@ -959,11 +665,9 @@ int cmd_sweep(const Args& args) {
     for (i64 d2 = d2_lo; d2 <= d2_hi; ++d2) {
       exec::JobSpec job;
       job.id = "d1=" + std::to_string(d1) + "/d2=" + std::to_string(d2);
-      job.hash = stable_hash(sweep_point_key(cfg, args.same_cpu, d1, d2));
+      job.hash = stable_hash(sweep_point_key(cfg, same_cpu, d1, d2));
       job.repro = sweep_point_repro(args, m, nc, d1, d2);
-      const bool crash = job.id == args.test_crash;
-      const bool same_cpu = args.same_cpu;
-      const i64 throttle_ms = args.throttle_ms;
+      const bool crash = job.id == args.text("--test-crash");
       job.run = [cfg, same_cpu, d1, d2, crash, throttle_ms] {
         return sweep_point(cfg, same_cpu, d1, d2, crash, throttle_ms);
       };
@@ -973,19 +677,21 @@ int cmd_sweep(const Args& args) {
 
   exec::install_signal_handlers();
   exec::ExecutorOptions options;
-  options.jobs = args.jobs;
-  options.sandbox = args.sandbox;
-  if (args.retries > 0) options.retry.max_attempts = static_cast<int>(args.retries);
-  options.journal_path = args.journal;
-  options.resume = args.resume;
+  options.jobs = static_cast<int>(args.num("--jobs", 1));
+  options.sandbox = args.flag("--sandbox");
+  if (args.num("--retries") > 0) {
+    options.retry.max_attempts = static_cast<int>(args.num("--retries"));
+  }
+  options.journal_path = args.text("--journal");
+  options.resume = args.flag("--resume");
   options.cancel = &exec::process_cancel_token();
 
   const exec::CampaignSummary summary = exec::run_campaign(jobs, options);
 
   human(args) << "sweep: " << jobs.size() << " points (d1 " << d1_lo << ".." << d1_hi
               << " x d2 " << d2_lo << ".." << d2_hi << ", m=" << m << " nc=" << nc << ")";
-  if (args.jobs > 1) human(args) << ", jobs " << args.jobs;
-  if (args.sandbox) human(args) << ", sandboxed";
+  if (options.jobs > 1) human(args) << ", jobs " << options.jobs;
+  if (options.sandbox) human(args) << ", sandboxed";
   human(args) << "\n  completed " << summary.completed << " (resumed " << summary.resumed
               << "), failed " << summary.failed << ", quarantined " << summary.quarantined
               << ", cancelled " << summary.cancelled << ", retries " << summary.retries
@@ -999,45 +705,33 @@ int cmd_sweep(const Args& args) {
                 << "] " << r.error << "\n    repro: vpmem_cli " << r.repro << '\n';
   }
 
-  if (!args.out.empty()) {
-    std::ofstream out{args.out};
-    if (!out) {
-      std::cerr << "error: cannot open '" << args.out << "' for writing\n";
-      return 1;
-    }
+  if (!args.text("--out").empty()) {
+    std::ofstream out{args.text("--out")};
+    if (!out) throw std::runtime_error{"cannot open '" + args.text("--out") + "' for writing"};
     sweep_results_doc(args, cfg, summary).dump(out, 2);
     out << '\n';
   }
-  if (!args.json_path.empty()) {
-    Json doc = cli_envelope("sweep");
-    doc["status"] = summary.interrupted ? "interrupted" : summary.status;
-    doc["m"] = m;
-    doc["nc"] = nc;
-    Json grid = Json::object();
-    grid["d1_lo"] = d1_lo;
-    grid["d1_hi"] = d1_hi;
-    grid["d2_lo"] = d2_lo;
-    grid["d2_hi"] = d2_hi;
-    doc["grid"] = std::move(grid);
-    doc["campaign"] = summary.to_json();
-    if (!args.journal.empty()) doc["journal"] = args.journal;
-    if (!maybe_write_json(args, doc)) return 1;
-  }
+  doc["status"] = summary.interrupted ? "interrupted" : summary.status;
+  doc["m"] = m;
+  doc["nc"] = nc;
+  Json grid = Json::object();
+  grid["d1_lo"] = d1_lo;
+  grid["d1_hi"] = d1_hi;
+  grid["d2_lo"] = d2_lo;
+  grid["d2_hi"] = d2_hi;
+  doc["grid"] = std::move(grid);
+  doc["campaign"] = summary.to_json();
+  if (!args.text("--journal").empty()) doc["journal"] = args.text("--journal");
   if (summary.interrupted) return 7;
   return summary.ok() ? 0 : 8;
 }
 
-int cmd_trace(const Args& args) {
-  if (args.positional.size() != 3 && args.positional.size() != 4 &&
-      args.positional.size() != 6) {
-    return usage();
-  }
+int cmd_trace(const Args& args, Json& doc) {
   const auto cfg = config_from(args, args.positional[0], args.positional[1]);
   const std::vector<sim::StreamConfig> streams = report_streams(args);
-  const bool infinite = streams.front().length == sim::kInfiniteLength;
 
-  i64 window = args.cycles;
-  if (infinite && window <= 0) {
+  i64 window = args.num("--cycles");
+  if (streams.front().length == sim::kInfiniteLength && window <= 0) {
     // Same automatic window as `report`: the transient plus one full
     // steady-state period, so the trace shows startup and the cycle.
     const sim::SteadyState ss = sim::find_steady_state(cfg, streams);
@@ -1046,8 +740,8 @@ int cmd_trace(const Args& args) {
 
   sim::MemorySystem mem{cfg, streams};
   obs::TracerOptions options;
-  options.attribution = !args.no_attribution;
-  if (args.window > 0) options.window = args.window;
+  options.attribution = !args.flag("--no-attribution");
+  if (args.num("--window") > 0) options.window = args.num("--window");
   obs::Tracer tracer{mem, options};
   // A window needs no budget; a finite run to completion gets 1e6 cycles.
   if (!sim::drive(mem, {.max_cycles = window > 0 ? window : 1'000'000, .livelock_factor = 0},
@@ -1059,7 +753,7 @@ int cmd_trace(const Args& args) {
   }
   tracer.finish();
 
-  const std::string path = args.out.empty() ? "trace.json" : args.out;
+  const std::string path = args.text("--out").empty() ? "trace.json" : args.text("--out");
   tracer.save_chrome_trace(path);
 
   const sim::EventBuffer& buf = tracer.buffer();
@@ -1085,29 +779,185 @@ int cmd_trace(const Args& args) {
     human(args) << '\n';
   }
 
-  if (!args.json_path.empty()) {
-    Json doc = cli_envelope("trace");
-    doc["trace_path"] = path;
-    doc["trace_schema"] = obs::kTraceSchema;
-    doc["cycles"] = mem.now();
-    Json ev = Json::object();
-    ev["recorded"] = buf.recorded();
-    ev["retained"] = buf.size();
-    ev["dropped"] = buf.dropped();
-    doc["events"] = std::move(ev);
-    doc["ports"] = json_of_ports(mem.all_stats());
-    doc["attribution"] =
-        tracer.attribution() != nullptr ? tracer.attribution()->to_json() : Json{nullptr};
-    if (!maybe_write_json(args, doc)) return 1;
-  }
+  doc["trace_path"] = path;
+  doc["trace_schema"] = obs::kTraceSchema;
+  doc["cycles"] = mem.now();
+  Json ev = Json::object();
+  ev["recorded"] = buf.recorded();
+  ev["retained"] = buf.size();
+  ev["dropped"] = buf.dropped();
+  doc["events"] = std::move(ev);
+  doc["ports"] = json_of_ports(mem.all_stats());
+  doc["attribution"] =
+      tracer.attribution() != nullptr ? tracer.attribution()->to_json() : Json{nullptr};
   return 0;
 }
 
-}  // namespace
+/// One row per subcommand.  `run` prints the human summary, fills the
+/// envelope main() writes to --json and returns the exit code.  `grammar` is
+/// the usage after the name: `<slot>` required, `[slot ...]` optional
+/// (nested for more), `--opt` required, `[--opt]` optional, `--a|--b` one of
+/// the two.  Every row also takes --json; option values and slot ranges
+/// come from kOptions/kSlotFloors.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&, Json&);
+  std::string grammar;
+  const char* summary;
+};
 
-namespace {
+const std::string kMachine = " [--sections] [--cyclic-priority] [--consecutive]";
+const std::string kTwoStreams = "<m> <nc> <d1> [d2 [b1 b2]]";
 
-/// Distinct exit codes for typed failures (documented in usage()).
+const Command kCommands[] = {
+    {"single", cmd_single, "<m> <nc> <d>" + kMachine,
+     "One-stream analysis: return number, predicted and simulated b_eff."},
+    {"pair", cmd_pair, "<m> <nc> <d1> <d2> [--same-cpu]" + kMachine,
+     "Two-stream classification plus the exact offset sweep."},
+    {"render", cmd_render, "<m> <nc> <d1> <d2> <b1> <b2> [cycles] [--same-cpu]" + kMachine,
+     "Draw the clock diagram in the paper's notation."},
+    {"report", cmd_report, kTwoStreams + " [--length] [--cycles] [--same-cpu]" + kMachine,
+     "Emit the full RunReport (vpmem.run_report/1) as JSON."},
+    {"triad", cmd_xmp, "<n> <inc> [--dedicated]", "Run the Section IV triad on the X-MP model."},
+    {"idim", cmd_idim, "<m> <nc> <stride> <arrays> <min_elements> [--same-cpu]" + kMachine,
+     "Recommend a COMMON array extent (the IDIM question)."},
+    {"diagnose", cmd_diagnose, "<m> <nc> <d1> <d2> [--same-cpu]" + kMachine,
+     "Conflict-regime map over every relative start position."},
+    {"kernel", cmd_xmp, "<name> <n> <inc> [--dedicated]",
+     "Run copy/scale/sum/daxpy/triad/gather/scatter on the X-MP model."},
+    {"fuzz", cmd_fuzz,
+     "[iterations] [--seed] [--cycles] [--fault] [--fault-plans] [--no-shrink] [--replay] [--jobs]",
+     "Differential fuzzing against the reference model and the theorems."},
+    {"sweep", cmd_sweep,
+     "<m> <nc> --d1 --d2 [--jobs] [--journal] [--resume] [--sandbox] [--retries] [--out]"
+     " [--same-cpu]" + kMachine + " [--test-crash] [--throttle-ms]",
+     "Journaled campaign over the (d1, d2) stride grid; exits 8 if degraded."},
+    {"faults", cmd_faults,
+     kTwoStreams + " --plan|--inline [--policy] [--length] [--cycles] [--max-cycles]"
+     " [--same-cpu]" + kMachine,
+     "Degraded-mode run under a timed fault plan, with per-phase b_eff."},
+    {"trace", cmd_trace,
+     kTwoStreams + " [--out] [--length] [--cycles] [--window] [--no-attribution]"
+     " [--same-cpu]" + kMachine,
+     "Write a Chrome/Perfetto trace (vpmem.trace/1) of the run."},
+};
+
+/// `c`'s usage line: its grammar with option values spelled out and
+/// [--json file] appended, wrapped at 80 columns.
+std::string usage_line(const Command& c) {
+  std::string text = "  vpmem_cli " + std::string{c.name};
+  std::size_t column = text.size();
+  std::istringstream words{c.grammar + " [--json]"};
+  for (std::string w; words >> w;) {
+    if (const std::size_t dash = w.find("--"); dash != std::string::npos) {
+      std::istringstream names{w.substr(dash, w.find(']') - dash)};
+      std::string spelling;
+      for (std::string name; std::getline(names, name, '|');) {
+        const Option& o = kOptions.at(option_index(name));
+        spelling += (spelling.empty() ? "" : " | ") + name +
+                    (o.kind == Kind::flag ? "" : std::string{" "} + o.meta);
+      }
+      w = dash > 0                              ? '[' + spelling + ']'
+          : w.find('|') == std::string::npos ? spelling
+                                              : '(' + spelling + ')';
+    }
+    if (column + 1 + w.size() > 80) {
+      text += "\n          ";
+      column = 10;
+    }
+    text += ' ' + w;
+    column += 1 + w.size();
+  }
+  return text;
+}
+
+/// The full usage: every subcommand's grammar and summary.
+int usage() {
+  std::cerr << "usage:\n";
+  for (const Command& c : kCommands) std::cerr << usage_line(c) << "\n      " << c.summary << '\n';
+  std::cerr << "--json <file> also writes vpmem.cli/1 (report: vpmem.run_report/1); '-' = stdout\n"
+               "exit codes: 0 ok, 1 failure, 2 usage, 3 config_invalid, 4 fault_plan_invalid,\n"
+               "  5 deadline_exceeded, 6 livelock, 7 interrupted, 8 sweep degraded\n";
+  return 2;
+}
+
+/// Parse argv[2..] against `c`'s grammar.  Returns the usage error, or ""
+/// when the command line fits; malformed numbers land in args.bad_value.
+std::string parse(const Command& c, int argc, char** argv, Args& args) {
+  std::vector<std::string> slots;
+  std::vector<std::size_t> counts;                 // accepted positional counts
+  std::vector<std::string> options{"--json"};      // accepted options
+  std::vector<std::vector<std::string>> required;  // one of each group must be given
+  std::istringstream words{c.grammar};
+  for (std::string w; words >> w;) {
+    const std::size_t skip = w.front() == '[' ? 1 : 0;
+    const std::string bare = w.substr(skip, w.find(']') - skip);
+    if (bare.starts_with("--")) {
+      std::vector<std::string> group;
+      std::istringstream names{bare};
+      for (std::string name; std::getline(names, name, '|');) group.push_back(name);
+      options.insert(options.end(), group.begin(), group.end());
+      if (skip == 0) required.push_back(group);
+    } else {
+      if (skip == 1) counts.push_back(slots.size());
+      slots.push_back(bare.front() == '<' ? bare.substr(1, bare.size() - 2) : bare);
+    }
+  }
+  counts.push_back(slots.size());
+
+  for (int i = 2; i < argc; ++i) {
+    const std::string token = argv[i];
+    if (!token.starts_with("--")) {
+      const std::size_t k = args.positional.size();
+      args.positional.push_back(0);
+      if (k >= slots.size()) continue;  // the count check below rejects it
+      i64 floor = 0;
+      for (const auto& [name, lo] : kSlotFloors) floor = name == slots[k] ? lo : floor;
+      u64 value = 0;
+      if (floor == kWord) {
+        args.word = token;
+      } else if (parse_int(args, slots[k], token, static_cast<u64>(floor),
+                           std::numeric_limits<i64>::max(), value)) {
+        args.positional.back() = static_cast<i64>(value);
+      }
+      continue;
+    }
+    if (std::ranges::find(options, token) == options.end()) {
+      return std::string{c.name} + " takes no option " + token;
+    }
+    const Option& o = kOptions.at(option_index(token));
+    Args::Value& v = args.values[option_index(token)];
+    v.given = true;
+    if (o.kind == Kind::flag) continue;
+    if (++i >= argc) return token + " needs a value";
+    v.text = argv[i];
+    const std::size_t colon = o.kind == Kind::range ? v.text.find(':') : std::string::npos;
+    if (o.kind != Kind::text && parse_int(args, token, v.text.substr(0, colon), o.lo, o.hi,
+                                          v.lo, o.base)) {
+      v.hi = v.lo;
+      if (colon != std::string::npos &&
+          parse_int(args, token, v.text.substr(colon + 1), o.lo, o.hi, v.hi) && v.lo > v.hi &&
+          args.bad_value.empty()) {
+        args.bad_value = token + ": expected A:B with A <= B, got '" + v.text + "'";
+      }
+    }
+  }
+  if (std::ranges::find(counts, args.positional.size()) == counts.end()) {
+    return std::string{c.name} + " does not take " + std::to_string(args.positional.size()) +
+           " positional argument(s)";
+  }
+  for (const auto& group : required) {
+    if (std::ranges::none_of(group, [&](const std::string& name) {
+          return args.values[option_index(name)].given;
+        })) {
+      return std::string{c.name} + " needs " + group.front() +
+             (group.size() > 1 ? " or " + group.back() : "");
+    }
+  }
+  return "";
+}
+
+/// Distinct exit codes for typed failures (see the file head).
 int exit_code_of(vpmem::ErrorCode code) {
   switch (code) {
     case vpmem::ErrorCode::config_invalid: return 3;
@@ -1118,52 +968,36 @@ int exit_code_of(vpmem::ErrorCode code) {
   return 1;
 }
 
-/// --json error envelope: even failed invocations leave a parseable record.
-void write_error_json(const Args& args, const std::string& command, const std::string& code,
-                      const std::string& message) {
-  if (args.json_path.empty()) return;
-  Json doc = cli_envelope(command);
-  Json error = Json::object();
-  error["code"] = code;
-  error["message"] = message;
-  doc["error"] = std::move(error);
-  (void)maybe_write_json(args, doc);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
+  const auto c = std::ranges::find_if(
+      kCommands, [&](const Command& row) { return argc >= 2 && row.name == argv[1]; });
+  if (c == std::end(kCommands)) return usage();
   Args args;
-  if (!parse(argc, argv, args)) return usage();
-  const std::string cmd = argv[1];
-  if (!args.bad_value.empty()) {
-    const std::string code = to_string(vpmem::ErrorCode::config_invalid);
-    std::cerr << "error (" << code << "): " << args.bad_value << '\n';
-    write_error_json(args, cmd, code, args.bad_value);
-    return exit_code_of(vpmem::ErrorCode::config_invalid);
+  args.command = c->name;
+  const std::string misuse = parse(*c, argc, argv, args);
+  if (!misuse.empty()) {
+    std::cerr << "error: " << misuse << "\nusage:\n" << usage_line(*c) << '\n';
+    return 2;
   }
+  Json doc = cli_envelope(std::string{c->name});
+  int rc = 0;
   try {
-    if (cmd == "single") return cmd_single(args);
-    if (cmd == "pair") return cmd_pair(args);
-    if (cmd == "render") return cmd_render(args);
-    if (cmd == "report") return cmd_report(args);
-    if (cmd == "triad") return cmd_triad(args);
-    if (cmd == "idim") return cmd_idim(args);
-    if (cmd == "diagnose") return cmd_diagnose(args);
-    if (cmd == "kernel") return cmd_kernel(args);
-    if (cmd == "fuzz") return cmd_fuzz(args);
-    if (cmd == "sweep") return cmd_sweep(args);
-    if (cmd == "faults") return cmd_faults(args);
-    if (cmd == "trace") return cmd_trace(args);
-  } catch (const vpmem::Error& e) {
-    std::cerr << "error (" << to_string(e.code()) << "): " << e.what() << '\n';
-    write_error_json(args, cmd, to_string(e.code()), e.what());
-    return exit_code_of(e.code());
+    if (!args.bad_value.empty()) throw Error{ErrorCode::config_invalid, args.bad_value};
+    rc = c->run(args, doc);
   } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << '\n';
-    write_error_json(args, cmd, "error", e.what());
-    return 1;
+    const auto* typed = dynamic_cast<const vpmem::Error*>(&e);
+    const std::string code = typed != nullptr ? to_string(typed->code()) : "error";
+    std::cerr << (typed != nullptr ? "error (" + code + "): " : "error: ") << e.what() << '\n';
+    // --json error envelope: even failed invocations leave a parseable record.
+    doc = cli_envelope(std::string{c->name});
+    doc["error"] = Json::object();
+    doc["error"]["code"] = code;
+    doc["error"]["message"] = e.what();
+    (void)maybe_write_json(args, doc);
+    return typed != nullptr ? exit_code_of(typed->code()) : 1;
   }
-  return usage();
+  if (rc == 2) std::cerr << "usage:\n" << usage_line(*c) << '\n';
+  return rc == 2 || maybe_write_json(args, doc) ? rc : 1;
 }

@@ -9,6 +9,7 @@
 
 #include "vpmem/analytic/classify.hpp"
 #include "vpmem/sim/config.hpp"
+#include "vpmem/sim/steady_state.hpp"
 #include "vpmem/util/rational.hpp"
 
 namespace vpmem::core {
@@ -34,9 +35,9 @@ struct PairReport {
   i64 d1 = 0;
   i64 d2 = 0;
   analytic::PairPrediction prediction;
-  Rational sim_min;  ///< worst steady-state b_eff over all start offsets
-  Rational sim_max;  ///< best steady-state b_eff over all start offsets
-  std::vector<Rational> by_offset;
+  /// The offset sweep that was run: steady-state b_eff at every start
+  /// offset, its extremes, and the sweep's own cost telemetry.
+  sim::OffsetSweep sweep;
 
   [[nodiscard]] std::string summary() const;
 };

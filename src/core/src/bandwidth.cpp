@@ -28,10 +28,7 @@ PairReport analyze_pair(const sim::MemoryConfig& config, i64 d1, i64 d2, bool sa
   r.d2 = d2;
   r.prediction = analytic::classify_pair(config.banks, config.bank_cycle, d1, d2,
                                          config.priority == sim::PriorityRule::fixed);
-  const sim::OffsetSweep sweep = sim::sweep_start_offsets(config, d1, d2, same_cpu);
-  r.sim_min = sweep.min_bandwidth;
-  r.sim_max = sweep.max_bandwidth;
-  r.by_offset = sweep.by_offset;
+  r.sweep = sim::sweep_start_offsets(config, d1, d2, same_cpu);
   return r;
 }
 
@@ -40,7 +37,8 @@ std::string PairReport::summary() const {
   out << "m=" << m << " nc=" << nc << " d1=" << d1 << " d2=" << d2 << ": "
       << analytic::to_string(prediction.cls);
   if (prediction.bandwidth) out << " (predicted b_eff " << prediction.bandwidth->str() << ")";
-  out << ", simulated b_eff in [" << sim_min.str() << ", " << sim_max.str() << "]";
+  out << ", simulated b_eff in [" << sweep.min_bandwidth.str() << ", "
+      << sweep.max_bandwidth.str() << "]";
   return out.str();
 }
 

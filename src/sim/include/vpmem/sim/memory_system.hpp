@@ -172,7 +172,9 @@ class MemorySystem {
   /// Opaque encoding of the machine state that determines all future
   /// behaviour of *infinite* streams (per-port phase, bank busy times,
   /// rotation of the cyclic priority).  Equal keys => identical futures;
-  /// used for exact cycle detection in steady_state().
+  /// used for exact cycle detection in find_steady_state().  Only defined
+  /// for a plan-free machine: throws Error{config_invalid} when the
+  /// machine carries a fault plan.
   [[nodiscard]] std::vector<i64> state_key() const;
 
  private:

@@ -382,6 +382,11 @@ i64 MemorySystem::run(i64 cycles, bool stop_when_finished) {
 }
 
 std::vector<i64> MemorySystem::state_key() const {
+  if (!plan_.empty()) {
+    // Pending events and the dynamic fault state tie the future to
+    // absolute time, so equal keys would not mean equal futures.
+    throw Error{ErrorCode::config_invalid, "state_key: the machine carries a fault plan"};
+  }
   std::vector<i64> key;
   key.reserve(ports_.size() * 2 + bank_free_at_.size() + 1);
   for (const auto& p : ports_) {
@@ -400,28 +405,6 @@ std::vector<i64> MemorySystem::state_key() const {
   }
   for (i64 free_at : bank_free_at_) key.push_back(std::max<i64>(0, free_at - now_));
   key.push_back(ports_.empty() ? 0 : static_cast<i64>(rr_ % ports_.size()));
-  if (!plan_.empty()) {
-    // A fault plan makes the future depend on absolute time (pending
-    // events) and on the dynamic fault state; fold all of it in.  Under
-    // remap the per-port phase above is insufficient (the effective bank
-    // depends on issued mod m'), so the raw progress counters are added —
-    // keys then never repeat while a plan is active, which soundly
-    // disables cycle detection rather than corrupting it.
-    key.push_back(-3);  // domain separator
-    key.push_back(static_cast<i64>(plan_.events.size() - plan_cursor_));
-    key.push_back(plan_cursor_ < plan_.events.size()
-                      ? plan_.events[plan_cursor_].cycle - now_
-                      : 0);
-    for (const auto& p : ports_) key.push_back(p.issued);
-    for (std::uint8_t on : bank_online_) key.push_back(on);
-    for (i64 nc : bank_nc_) key.push_back(nc);
-    for (i64 until : bank_stall_until_) key.push_back(std::max<i64>(0, until - now_));
-    key.push_back(static_cast<i64>(paths_down_.size()));
-    for (const auto& [c, s] : paths_down_) {
-      key.push_back(c);
-      key.push_back(s);
-    }
-  }
   return key;
 }
 

@@ -199,9 +199,9 @@ TEST(CliCampaign, SigintDrainsIntoAValidInterruptedEnvelope) {
 }
 
 TEST(CliArguments, MalformedNumbersAreRejectedAsConfigInvalid) {
-  // Every numeric option is parsed strictly: junk, negative counts and
+  // Every number is parsed strictly: junk, negative counts and
   // out-of-range values exit 3 (config_invalid) instead of silently
-  // becoming 0 or wrapping.
+  // becoming 0 or wrapping, and so do zero banks, bank cycles or arrays.
   TempDir dir{"badargs"};
   const std::vector<std::vector<std::string>> bad{
       {"fuzz", "10", "--jobs", "abc"},
@@ -219,6 +219,15 @@ TEST(CliArguments, MalformedNumbersAreRejectedAsConfigInvalid) {
       {"faults", "12", "3", "1", "--inline", "stall", "--max-cycles", "-1"},
       {"sweep", "16", "3", "--d1", "1:2", "--d2", "1:2", "--retries", "-1"},
       {"sweep", "16", "3", "--d1", "1:2", "--d2", "1:2", "--throttle-ms", "1e3"},
+      // Range ends and positional sizes go through the same strict rule.
+      {"sweep", "16", "3", "--d1", " 1:2", "--d2", "1:2"},
+      {"sweep", "16", "3", "--d1", "-3:2", "--d2", "1:2"},
+      {"sweep", "16", "3", "--d1", "99999999999999999999:2", "--d2", "1:2"},
+      {"sweep", "16", "3", "--d1", "1:", "--d2", "1:2"},
+      {"sweep", "16", "3", "--d1", "3:1", "--d2", "1:2"},
+      {"single", "16", "0", "1"},
+      {"single", "0", "4", "1"},
+      {"idim", "16", "4", "1", "0", "10"},
   };
   for (const auto& args : bad) {
     std::string label;
@@ -254,6 +263,10 @@ TEST(CliArguments, TypedRunFailuresExitWithTheirCode) {
        5,
        "deadline_exceeded"},
       {{"report", "8", "2", "1", "--length", "2000000"}, 5, "deadline_exceeded"},
+      // A machine no sweep point can run on is refused before the campaign.
+      {{"sweep", "16", "3", "--d1", "1:2", "--d2", "1:2", "--sections", "5"},
+       3,
+       "config_invalid"},
   };
   for (const Case& c : cases) {
     std::string label;

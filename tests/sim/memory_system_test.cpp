@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "vpmem/sim/event_buffer.hpp"
+#include "vpmem/util/error.hpp"
 
 namespace vpmem::sim {
 namespace {
@@ -231,6 +232,22 @@ TEST(MemorySystem, StateKeyRepeatsWithCyclicBehaviour) {
   EXPECT_EQ(mem.state_key(), warm);
   mem.step();
   EXPECT_NE(mem.state_key(), warm);
+}
+
+TEST(MemorySystem, StateKeyRefusesAMachineWithAFaultPlan) {
+  // Cycle detection is only sound without a plan: pending events tie the
+  // future to absolute time.  The key is a typed config error there, both
+  // before and after the plan's events have been applied.
+  MemorySystem mem{flat(8, 2), {StreamConfig{.start_bank = 0, .distance = 1}},
+                   FaultPlan::parse("stall;boff@4:b3")};
+  try {
+    (void)mem.state_key();
+    FAIL() << "state_key accepted a machine with a fault plan";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::config_invalid);
+  }
+  mem.run(8, /*stop_when_finished=*/false);
+  EXPECT_THROW((void)mem.state_key(), Error);
 }
 
 TEST(MemorySystem, DistanceLargerThanBanksWrap) {

@@ -13,7 +13,8 @@
 # exercise the event recorders and their chunk sinks, the attribution fold's
 # hot path and the reference model's event-log scans, plus the run corpus
 # and the X-MP kernel grid, which take every run entry point through
-# sim::drive.
+# sim::drive, and the vpmem_cli golden and argv-fuzz suites, which run the
+# sanitized CLI binary on every subcommand and on 2000 drawn command lines.
 #
 # The TSan pass rebuilds into build-tsan/ with -fsanitize=thread
 # (VPMEM_SANITIZE_THREAD=ON) and runs `ctest -LE fork`: everything except
@@ -78,9 +79,9 @@ cmake --build build-asan -j "$jobs" --target \
   obs_report_test obs_timer_test obs_attribution_test obs_tracer_test \
   check_reference_model_test check_differential_fuzz_test check_replay_test \
   check_fault_plan_fuzz_test check_live_ports_test obs_run_corpus_test \
-  xmp_kernel_grid_test
+  xmp_kernel_grid_test vpmem_cli exec_cli_golden_test exec_cli_argv_fuzz_test
 ctest --test-dir build-asan --output-on-failure -j "$jobs" -R \
-  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz|check_live_ports|xmp_kernel_grid)'
+  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz|check_live_ports|xmp_kernel_grid|exec_cli_golden|exec_cli_argv_fuzz)'
 
 echo "== sanitizer pass: TSan on everything but the fork-labelled suites =="
 cmake -B build-tsan -S . -DVPMEM_SANITIZE_THREAD=ON >/dev/null
