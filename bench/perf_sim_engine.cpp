@@ -91,14 +91,45 @@ void bm_step_traced(benchmark::State& state) {
 }
 BENCHMARK(bm_step_traced)->Args({2, 16})->Args({6, 64})->Args({16, 256});
 
+/// Deterministic work counter of a steady-state row: cycles the search
+/// stepped (transient + period) plus the cycles its confirming replay
+/// stepped, per search.
+void count_search(benchmark::State& state, const sim::SteadyState& ss) {
+  state.counters["cycles_simulated"] = static_cast<double>(ss.cycles_simulated);
+  state.counters["ns_per_cycle"] = benchmark::Counter(
+      static_cast<double>(ss.cycles_simulated) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+// m up to 32768: a search cycle costs O(p + grants), not O(m), so the
+// ns/cycle column grows with m only through cache misses.
 void bm_find_steady_state(benchmark::State& state) {
   const sim::MemoryConfig cfg{.banks = state.range(0), .sections = state.range(0),
                               .bank_cycle = 4};
+  sim::SteadyState ss;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::find_steady_state(cfg, sim::two_streams(0, 1, 1, 3)));
+    ss = sim::find_steady_state(cfg, sim::two_streams(0, 1, 1, 3));
+    benchmark::DoNotOptimize(ss);
   }
+  count_search(state, ss);
 }
-BENCHMARK(bm_find_steady_state)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(bm_find_steady_state)->Arg(16)->Arg(64)->Arg(256)->Arg(4096)->Arg(32768);
+
+// The shape behind `vpmem_cli idim 7 45 3 46 21 --cyclic-priority`: 46
+// ports on 46 CPUs, stride 3, start banks one apart, m = 7, n_c = 45 > m,
+// cyclic priority; about 10^5 cycles to the first repeat.  Storing
+// anything proportional to p per cycle shows up here.
+void bm_find_steady_state_idim(benchmark::State& state) {
+  const sim::MemoryConfig cfg{.banks = 7, .sections = 7, .bank_cycle = 45,
+                              .priority = sim::PriorityRule::cyclic};
+  sim::SteadyState ss;
+  for (auto _ : state) {
+    ss = sim::find_steady_state(cfg, core::uniform_streams(46, 3, 1, 7, /*same_cpu=*/false));
+    benchmark::DoNotOptimize(ss);
+  }
+  count_search(state, ss);
+}
+BENCHMARK(bm_find_steady_state_idim)->Unit(benchmark::kMillisecond);
 
 void bm_triad_n1024(benchmark::State& state) {
   xmp::XmpConfig machine;

@@ -136,6 +136,24 @@ bool parse_int(Args& args, std::string_view what, const std::string& token, u64 
   return false;
 }
 
+/// a * b and a + b for sizes derived from arguments: a result outside i64
+/// is config_invalid, never a wrapped value.
+i64 checked_mul(i64 a, i64 b, std::string_view what) {
+  i64 out = 0;
+  if (__builtin_mul_overflow(a, b, &out)) {
+    throw Error{ErrorCode::config_invalid, std::string{what} + " overflows a 64-bit integer"};
+  }
+  return out;
+}
+
+i64 checked_add(i64 a, i64 b, std::string_view what) {
+  i64 out = 0;
+  if (__builtin_add_overflow(a, b, &out)) {
+    throw Error{ErrorCode::config_invalid, std::string{what} + " overflows a 64-bit integer"};
+  }
+  return out;
+}
+
 sim::MemoryConfig config_from(const Args& args, i64 m, i64 nc) {
   return sim::MemoryConfig{
       .banks = m,
@@ -244,7 +262,7 @@ int cmd_render(const Args& args, Json& doc) {
   const std::vector<i64>& p = args.positional;
   const auto cfg = config_from(args, p[0], p[1]);
   const auto streams = sim::two_streams(p[4], p[2], p[5], p[3], args.flag("--same-cpu"));
-  const i64 cycles = p.size() > 6 ? p[6] : 3 * p[0];
+  const i64 cycles = p.size() > 6 ? p[6] : checked_mul(3, p[0], "render: the default window 3 * m");
   const std::string diagram = trace::render_run(cfg, streams, cycles, cfg.sections != p[0]);
   human(args) << diagram;
   const auto ss = sim::find_steady_state(cfg, streams);
@@ -659,10 +677,21 @@ int cmd_sweep(const Args& args, Json& doc) {
   const bool same_cpu = args.flag("--same-cpu");
   const i64 throttle_ms = args.num("--throttle-ms");
 
+  // Range ends are >= 0 and ordered, so only the + 1 and the product can
+  // overflow; the loops count up to the sizes so no index steps past hi.
+  const i64 d1_count = checked_add(d1_hi - d1_lo, 1, "sweep: the --d1 range size");
+  const i64 d2_count = checked_add(d2_hi - d2_lo, 1, "sweep: the --d2 range size");
+  const i64 points = checked_mul(d1_count, d2_count, "sweep: the grid size");
   std::vector<exec::JobSpec> jobs;
-  jobs.reserve(static_cast<std::size_t>((d1_hi - d1_lo + 1) * (d2_hi - d2_lo + 1)));
-  for (i64 d1 = d1_lo; d1 <= d1_hi; ++d1) {
-    for (i64 d2 = d2_lo; d2 <= d2_hi; ++d2) {
+  if (static_cast<u64>(points) > jobs.max_size()) {
+    throw Error{ErrorCode::config_invalid,
+                "sweep: " + std::to_string(points) + " grid points exceed the job list's limit"};
+  }
+  jobs.reserve(static_cast<std::size_t>(points));
+  for (i64 i = 0; i < d1_count; ++i) {
+    for (i64 j = 0; j < d2_count; ++j) {
+      const i64 d1 = d1_lo + i;
+      const i64 d2 = d2_lo + j;
       exec::JobSpec job;
       job.id = "d1=" + std::to_string(d1) + "/d2=" + std::to_string(d2);
       job.hash = stable_hash(sweep_point_key(cfg, same_cpu, d1, d2));

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -100,9 +101,14 @@ class MemorySystem {
   /// All finite-length streams have transferred all their elements.
   [[nodiscard]] bool finished() const noexcept { return live_.empty(); }
 
-  /// Grants made by the most recent step() (0 before the first one):
-  /// lets sim::drive detect progress without summing every port.
-  [[nodiscard]] std::size_t last_step_grants() const noexcept { return granted_.size(); }
+  /// The (bank, access path) pairs granted by the most recent step(), in
+  /// grant order (empty before the first one): sim::drive detects
+  /// progress from its size, and find_steady_state tracks the busy banks
+  /// from it without scanning all m.
+  [[nodiscard]] std::span<const std::pair<std::size_t, std::size_t>> last_step_grants()
+      const noexcept {
+    return granted_;
+  }
 
   /// Ports that have not finished yet (the ones step() visits).
   [[nodiscard]] std::size_t live_port_count() const noexcept { return live_.size(); }
@@ -131,14 +137,19 @@ class MemorySystem {
   [[nodiscard]] const PortStats& port_stats(std::size_t port) const;
   [[nodiscard]] std::vector<PortStats> all_stats() const;
 
-  /// Elements granted so far on `port`.
-  [[nodiscard]] i64 elements_done(std::size_t port) const;
+  /// Elements granted so far on `port`.  Inline, like next_bank():
+  /// find_steady_state reads both for every port every cycle.
+  [[nodiscard]] i64 elements_done(std::size_t port) const { return ports_.at(port).issued; }
 
   /// True once `port` has transferred all its elements.
   [[nodiscard]] bool port_done(std::size_t port) const;
 
   /// Bank the port will request next (nullopt once the stream finished).
-  [[nodiscard]] std::optional<i64> next_bank(std::size_t port) const;
+  [[nodiscard]] std::optional<i64> next_bank(std::size_t port) const {
+    const PortState& p = ports_.at(port);
+    if (p.done()) return std::nullopt;
+    return p.bank;
+  }
 
   /// Remaining active periods of `bank` (0 == inactive).
   [[nodiscard]] i64 bank_busy(i64 bank) const;
@@ -171,10 +182,13 @@ class MemorySystem {
 
   /// Opaque encoding of the machine state that determines all future
   /// behaviour of *infinite* streams (per-port phase, bank busy times,
-  /// rotation of the cyclic priority).  Equal keys => identical futures;
-  /// used for exact cycle detection in find_steady_state().  Only defined
-  /// for a plan-free machine: throws Error{config_invalid} when the
-  /// machine carries a fault plan.
+  /// rotation of the cyclic priority).  Equal keys => identical futures.
+  /// This is the one exact definition of state: find_steady_state()
+  /// hashes a sparse fingerprint of the same fields every cycle and calls
+  /// state_key() only to confirm a fingerprint hit, so a hash collision
+  /// never decides a result.  O(m + p) time and space per call.  Only
+  /// defined for a plan-free machine: throws Error{config_invalid} when
+  /// the machine carries a fault plan.
   [[nodiscard]] std::vector<i64> state_key() const;
 
  private:

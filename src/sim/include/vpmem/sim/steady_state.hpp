@@ -3,9 +3,19 @@
 // Section III assumes infinitely long streams: "the possible memory states
 // are finite, and some cyclic state will be reached.  Neglecting startup
 // times, we compute the effective bandwidth for the cyclic state."  This
-// module detects that cyclic state exactly by hashing the full machine
-// state each clock period, and reports b_eff as an exact rational
-// (grants per period over the detected cycle).
+// module detects that cyclic state exactly and reports b_eff as an exact
+// rational (grants per period over the detected cycle).
+//
+// Each clock period costs O(p + grants) and a fixed number of bytes,
+// whatever m and n_c are: a 64-bit fingerprint of the sparse state (port
+// phases, the priority rotation, the banks granted in the last n_c - 1
+// steps) is logged and looked up in a table of first visits.  A
+// fingerprint hit is only a candidate: a fresh machine is replayed to the
+// earlier cycle and the two dense MemorySystem::state_key()s are
+// compared, so the result is exact; a collision just continues the
+// search.  The replay also yields the first visit's counters, so nothing
+// per port is stored per cycle.  The replayed cycles count in
+// SteadyState::cycles_simulated.
 #pragma once
 
 #include <vector>
@@ -22,7 +32,9 @@ struct SteadyState {
   std::vector<Rational> per_port;      ///< per-port share of b_eff
   i64 transient_cycles = 0;            ///< periods before the cyclic state is entered
   i64 period = 0;                      ///< length of the cyclic state
-  i64 cycles_simulated = 0;            ///< clock periods stepped during detection
+  /// Clock periods stepped during detection: transient + period by the
+  /// search, plus the replay that confirms the repeat (usually transient).
+  i64 cycles_simulated = 0;
   double wall_seconds = 0.0;           ///< wall-clock cost of the detection
   /// Simulator throughput of the detection run (simulated clock periods
   /// per wall-clock second); 0 when the run was too fast to time.
@@ -50,6 +62,21 @@ struct SteadyState {
 [[nodiscard]] SteadyState find_steady_state(const MemoryConfig& config,
                                             const std::vector<StreamConfig>& streams,
                                             i64 max_cycles = 1'000'000);
+
+namespace detail {
+
+/// The fingerprint find_steady_state() logs per cycle.  `collide_all`
+/// gives every state the same one, so every cycle is a hit that only the
+/// exact replay can settle: tests use it to show that a collision cannot
+/// change a result.  Both are instantiated in the library.
+enum class Fingerprint { exact, collide_all };
+
+template <Fingerprint kKind>
+[[nodiscard]] SteadyState find_steady_state(const MemoryConfig& config,
+                                            const std::vector<StreamConfig>& streams,
+                                            i64 max_cycles);
+
+}  // namespace detail
 
 /// Worst/best-case steady-state bandwidth of two streams over *all* pairs
 /// of relative start banks (b1 fixed at 0, b2 swept over [0, m)).  Used to

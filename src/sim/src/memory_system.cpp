@@ -205,15 +205,7 @@ std::vector<PortStats> MemorySystem::all_stats() const {
   return out;
 }
 
-i64 MemorySystem::elements_done(std::size_t port) const { return ports_.at(port).issued; }
-
 bool MemorySystem::port_done(std::size_t port) const { return ports_.at(port).done(); }
-
-std::optional<i64> MemorySystem::next_bank(std::size_t port) const {
-  const PortState& p = ports_.at(port);
-  if (p.done()) return std::nullopt;
-  return p.bank;
-}
 
 i64 MemorySystem::bank_busy(i64 bank) const {
   if (bank < 0 || bank >= config_.banks) throw std::out_of_range{"bank_busy: bank out of range"};

@@ -82,7 +82,7 @@ GuardedRun drive(MemorySystem& mem, const Watchdog& watchdog, const StopRule& st
       break;
     }
     mem.step();
-    if (mem.last_step_grants() != 0) {
+    if (!mem.last_step_grants().empty()) {
       out.last_grant_cycle = now;
     } else if (window > 0 && !mem.finished() &&
                now + 1 - std::max({out.last_grant_cycle, latest_start, begun}) > window) {

@@ -228,6 +228,10 @@ TEST(CliArguments, MalformedNumbersAreRejectedAsConfigInvalid) {
       {"single", "16", "0", "1"},
       {"single", "0", "4", "1"},
       {"idim", "16", "4", "1", "0", "10"},
+      // Sizes derived from well-formed numbers are checked, not wrapped:
+      // a grid of 2^63 points, a default render window of 3 * 2^62.
+      {"sweep", "4", "1", "--d1", "0:9223372036854775807", "--d2", "0:0"},
+      {"render", "4611686018427387904", "1", "1", "1", "0", "0"},
   };
   for (const auto& args : bad) {
     std::string label;
@@ -248,8 +252,9 @@ TEST(CliArguments, MalformedNumbersAreRejectedAsConfigInvalid) {
 
 TEST(CliArguments, TypedRunFailuresExitWithTheirCode) {
   // Bad X-MP inputs are config_invalid (exit 3); a finite trace or report
-  // that outruns its cycle budget is deadline_exceeded (exit 5).  Either
-  // way --json leaves an error envelope carrying the code.
+  // that outruns its cycle budget is deadline_exceeded (exit 5), and so
+  // does a steady-state search whose period exceeds the default 10^6-cycle
+  // budget.  Either way --json leaves an error envelope carrying the code.
   TempDir dir{"typed"};
   struct Case {
     std::vector<std::string> args;
@@ -263,6 +268,8 @@ TEST(CliArguments, TypedRunFailuresExitWithTheirCode) {
        5,
        "deadline_exceeded"},
       {{"report", "8", "2", "1", "--length", "2000000"}, 5, "deadline_exceeded"},
+      // Period 2^20: the search must run out of budget in bounded memory.
+      {{"report", "1048576", "4", "1"}, 5, "deadline_exceeded"},
       // A machine no sweep point can run on is refused before the campaign.
       {{"sweep", "16", "3", "--d1", "1:2", "--d2", "1:2", "--sections", "5"},
        3,
@@ -279,6 +286,8 @@ TEST(CliArguments, TypedRunFailuresExitWithTheirCode) {
     EXPECT_EQ(doc.at("error").at("code").as_string(), c.code) << label;
     fs::remove(envelope);
   }
+  // A period of 2^15 at m = 2^15 is well inside the budget.
+  EXPECT_EQ(run_cli({"single", "32768", "4", "1"}), 0);
 }
 
 }  // namespace

@@ -217,9 +217,11 @@ TEST(Drive, ZeroBudgetStopsAtOnce) {
 
 TEST(Drive, LastStepGrantsCountsTheStepsGrants) {
   MemorySystem mem{flat(8, 2), two_streams(0, 1, 4, 1)};
-  EXPECT_EQ(mem.last_step_grants(), 0u);
+  EXPECT_EQ(mem.last_step_grants().size(), 0u);
   mem.step();
-  EXPECT_EQ(mem.last_step_grants(), 2u);
+  ASSERT_EQ(mem.last_step_grants().size(), 2u);
+  EXPECT_EQ(mem.last_step_grants()[0].first, 0u);  // (bank, path), in grant order
+  EXPECT_EQ(mem.last_step_grants()[1].first, 4u);
 }
 
 TEST(RunStatus, ToString) {

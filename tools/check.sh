@@ -13,8 +13,10 @@
 # exercise the event recorders and their chunk sinks, the attribution fold's
 # hot path and the reference model's event-log scans, plus the run corpus
 # and the X-MP kernel grid, which take every run entry point through
-# sim::drive, and the vpmem_cli golden and argv-fuzz suites, which run the
-# sanitized CLI binary on every subcommand and on 2000 drawn command lines.
+# sim::drive, the steady-state search's differential and collision suite
+# (fingerprint log, replay confirmation), and the vpmem_cli golden and
+# argv-fuzz suites, which run the sanitized CLI binary on every subcommand
+# and on 2000 drawn command lines.
 #
 # The TSan pass rebuilds into build-tsan/ with -fsanitize=thread
 # (VPMEM_SANITIZE_THREAD=ON) and runs `ctest -LE fork`: everything except
@@ -73,8 +75,8 @@ fi
 echo "== sanitizer pass: ASan + UBSan on sim/obs/check tests =="
 cmake -B build-asan -S . -DVPMEM_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$jobs" --target \
-  sim_config_test sim_memory_system_test sim_steady_state_test sim_run_test \
-  sim_pattern_test sim_event_buffer_test sim_fault_test sim_checkpoint_test \
+  sim_config_test sim_memory_system_test sim_steady_state_test sim_steady_state_search_test \
+  sim_run_test sim_pattern_test sim_event_buffer_test sim_fault_test sim_checkpoint_test \
   obs_metrics_test obs_collector_test \
   obs_report_test obs_timer_test obs_attribution_test obs_tracer_test \
   check_reference_model_test check_differential_fuzz_test check_replay_test \
