@@ -1,6 +1,6 @@
 // Engine throughput: cycles/second of the simulator core across port
-// counts and memory sizes, plus the cost of steady-state detection and a
-// full triad run.  Pure performance benchmark (no figure reproduction).
+// counts and memory sizes, plus the cost of steady-state detection, a
+// full triad run and the JSON exports (Chrome trace, run report).  Pure performance benchmark (no figure reproduction).
 #include "bench_common.hpp"
 
 namespace {
@@ -130,6 +130,55 @@ void bm_find_steady_state_idim(benchmark::State& state) {
   count_search(state, ss);
 }
 BENCHMARK(bm_find_steady_state_idim)->Unit(benchmark::kMillisecond);
+
+/// Work counters of a JSON export row: bytes written and the simulator
+/// events behind them per iteration, plus the byte rate.
+void count_export(benchmark::State& state, std::size_t bytes, i64 events) {
+  state.counters["bytes"] = static_cast<double>(bytes);
+  state.counters["events"] = static_cast<double>(events);
+  state.counters["bytes_per_second"] = benchmark::Counter(
+      static_cast<double>(bytes) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
+// A Chrome-trace export at m = 1024, sections = 8, two streams of one CPU
+// (grants plus section and bank conflicts): run 2048 cycles under a
+// Tracer, build the vpmem.trace/1 document, dump it.
+void bm_chrome_trace_export(benchmark::State& state) {
+  const sim::MemoryConfig cfg{.banks = 1024, .sections = 8, .bank_cycle = 8};
+  std::size_t bytes = 0;
+  i64 events = 0;
+  for (auto _ : state) {
+    sim::MemorySystem mem{cfg, sim::two_streams(0, 1, 0, 3, true)};
+    obs::Tracer tracer{mem};
+    mem.run(2048, /*stop_when_finished=*/false);
+    const std::string text = tracer.chrome_trace().dump();
+    bytes = text.size();
+    events = tracer.buffer().recorded();
+    benchmark::DoNotOptimize(text.data());
+  }
+  count_export(state, bytes, events);
+}
+BENCHMARK(bm_chrome_trace_export)->Unit(benchmark::kMillisecond);
+
+// Dumping one attributed run report of the same machine and streams,
+// built once.
+void bm_json_dump_report(benchmark::State& state) {
+  const sim::MemoryConfig cfg{.banks = 1024, .sections = 8, .bank_cycle = 8};
+  const obs::RunReport report = obs::report_run(cfg, sim::two_streams(0, 1, 0, 3, true));
+  Json doc = report.to_json();
+  doc["perf"] = nullptr;  // wall-clock telemetry would change the byte count
+  i64 events = 0;
+  for (const sim::PortStats& p : report.ports) events += p.grants + p.total_conflicts();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = doc.dump();
+    bytes = text.size();
+    benchmark::DoNotOptimize(text.data());
+  }
+  count_export(state, bytes, events);
+}
+BENCHMARK(bm_json_dump_report);
 
 void bm_triad_n1024(benchmark::State& state) {
   xmp::XmpConfig machine;

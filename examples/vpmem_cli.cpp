@@ -369,8 +369,8 @@ int cmd_diagnose(const Args& args, Json& doc) {
 int cmd_idim(const Args& args, Json& doc) {
   const std::vector<i64>& p = args.positional;
   const auto cfg = config_from(args, p[0], p[1]);
-  const i64 idim = core::recommend_idim(cfg, p[2], p[3], p[4], args.flag("--same-cpu"));
   const auto sweep = core::sweep_array_spacing(cfg, p[2], p[3], args.flag("--same-cpu"));
+  const i64 idim = core::idim_for(sweep, cfg.banks, p[4]);
   human(args) << "recommended IDIM " << idim << " (spacing " << mod_norm(idim, cfg.banks)
               << " mod " << cfg.banks << ", group b_eff " << sweep.best_bandwidth.str()
               << "; worst spacing " << sweep.worst_spacing << " -> "

@@ -89,7 +89,9 @@ struct FuzzSummary {
   std::vector<FuzzFailure> failures;
   bool interrupted = false;  ///< stopped early on the caller's cancel token
   [[nodiscard]] bool ok() const noexcept { return failures.empty() && !interrupted; }
-  /// Schema "vpmem.fuzz_summary/1"; embedded verbatim by the CLI.
+  /// Schema "vpmem.fuzz_summary/1"; embedded verbatim by the CLI.  "seed"
+  /// is an integer up to 2^63 - 1 and a "0x..." hex string above, both
+  /// forms `vpmem_cli fuzz --seed` accepts.
   [[nodiscard]] Json to_json() const;
 };
 

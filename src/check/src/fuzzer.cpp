@@ -1,6 +1,8 @@
 #include "vpmem/check/fuzzer.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <limits>
 
 #include "vpmem/check/differential.hpp"
 #include "vpmem/check/replay.hpp"
@@ -259,7 +261,15 @@ FuzzSummary fuzz(const FuzzOptions& options) {
 Json FuzzSummary::to_json() const {
   Json doc = Json::object();
   doc["schema"] = "vpmem.fuzz_summary/1";
-  doc["seed"] = static_cast<i64>(seed);
+  if (seed <= static_cast<std::uint64_t>(std::numeric_limits<i64>::max())) {
+    doc["seed"] = static_cast<i64>(seed);
+  } else {
+    // Past i64, a JSON integer would wrap negative: write the "0x..." form
+    // that --seed reads back.
+    char hex[16];
+    const auto [end, ec] = std::to_chars(hex, hex + sizeof hex, seed, 16);
+    doc["seed"] = "0x" + std::string{hex, end};
+  }
   doc["iterations"] = iterations;
   doc["checks_run"] = checks_run;
   doc["events_compared"] = events_compared;

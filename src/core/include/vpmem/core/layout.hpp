@@ -34,10 +34,13 @@ struct SpacingReport {
 [[nodiscard]] SpacingReport sweep_array_spacing(const sim::MemoryConfig& config, i64 distance,
                                                 i64 arrays, bool same_cpu = false);
 
-/// Smallest array extent >= min_elements whose residue mod m equals the
-/// best spacing found by sweep_array_spacing.  For the paper's setup
-/// (m = 16, stride 1, 4 arrays, >= 16384 elements) this reproduces a
-/// one-bank-apart layout like IDIM = 16*1024 + 1.
+/// Smallest array extent >= min_elements whose residue mod m equals
+/// `report`'s best spacing: the IDIM of a sweep already in hand.
+[[nodiscard]] i64 idim_for(const SpacingReport& report, i64 m, i64 min_elements);
+
+/// idim_for(sweep_array_spacing(...), config.banks, min_elements).  For
+/// the paper's setup (m = 16, stride 1, 4 arrays, >= 16384 elements) this
+/// reproduces a one-bank-apart layout like IDIM = 16*1024 + 1.
 [[nodiscard]] i64 recommend_idim(const sim::MemoryConfig& config, i64 distance, i64 arrays,
                                  i64 min_elements, bool same_cpu = false);
 

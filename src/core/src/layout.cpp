@@ -28,14 +28,18 @@ SpacingReport sweep_array_spacing(const sim::MemoryConfig& config, i64 distance,
   return report;
 }
 
-i64 recommend_idim(const sim::MemoryConfig& config, i64 distance, i64 arrays, i64 min_elements,
-                   bool same_cpu) {
-  if (min_elements < 1) throw std::invalid_argument{"recommend_idim: min_elements must be >= 1"};
-  const SpacingReport report = sweep_array_spacing(config, distance, arrays, same_cpu);
-  const i64 m = config.banks;
+i64 idim_for(const SpacingReport& report, i64 m, i64 min_elements) {
+  if (min_elements < 1) throw std::invalid_argument{"idim_for: min_elements must be >= 1"};
   // Smallest idim >= min_elements with idim mod m == best_spacing.
   const i64 rem = mod_norm(min_elements, m);
   return min_elements + mod_norm(report.best_spacing - rem, m);
+}
+
+i64 recommend_idim(const sim::MemoryConfig& config, i64 distance, i64 arrays, i64 min_elements,
+                   bool same_cpu) {
+  if (min_elements < 1) throw std::invalid_argument{"recommend_idim: min_elements must be >= 1"};
+  return idim_for(sweep_array_spacing(config, distance, arrays, same_cpu), config.banks,
+                  min_elements);
 }
 
 }  // namespace vpmem::core

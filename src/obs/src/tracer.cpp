@@ -44,15 +44,28 @@ namespace {
 constexpr i64 kBankPid = 1;
 constexpr i64 kPortPid = 2;
 
+/// An empty object with room for exactly `n` members: chrome_trace()
+/// builds each event's members once instead of growing them key by key.
+Json::Object members(std::size_t n) {
+  Json::Object o;
+  o.reserve(n);
+  return o;
+}
+
+/// Append one member (no key search: chrome_trace() never repeats a key).
+void put(Json::Object& o, const char* key, Json value) {
+  o.emplace_back(key, std::move(value));
+}
+
 Json meta_event(i64 pid, i64 tid, const char* what, std::string name) {
-  Json e = Json::object();
-  e["ph"] = "M";
-  e["name"] = what;
-  e["pid"] = pid;
-  e["tid"] = tid;
-  Json args = Json::object();
-  args["name"] = std::move(name);
-  e["args"] = std::move(args);
+  Json::Object args = members(1);
+  put(args, "name", std::move(name));
+  Json::Object e = members(5);
+  put(e, "ph", "M");
+  put(e, "name", what);
+  put(e, "pid", pid);
+  put(e, "tid", tid);
+  put(e, "args", std::move(args));
   return e;
 }
 
@@ -74,7 +87,14 @@ std::string port_label(const sim::MemorySystem& mem, std::size_t p) {
 Json Tracer::chrome_trace() {
   finish();
   const sim::MemoryConfig& cfg = mem_.config();
-  Json events = Json::array();
+  // Two slices per grant, one instant per conflict, one counter sample
+  // per b_eff window, after the 2 + banks + ports metadata rows.
+  std::size_t grants = 0;
+  buffer_->for_each([&](const sim::Event& e) { grants += e.type == sim::Event::Type::grant; });
+  const std::size_t samples = attribution_ ? attribution_->bandwidth_series().size() : 0;
+  Json::Array events;
+  events.reserve(2 + static_cast<std::size_t>(cfg.banks) + mem_.port_count() +
+                 buffer_->size() + grants + samples);
 
   // Track naming: one row per bank (labelled with its section, as in the
   // paper's Figs. 7-9) and one per port.
@@ -95,66 +115,66 @@ Json Tracer::chrome_trace() {
     if (e.type == sim::Event::Type::grant) {
       // Service slice on the bank track (the bank stays active nc
       // periods) ...
-      Json service = Json::object();
-      service["ph"] = "X";
-      service["name"] = "port " + std::to_string(e.port + 1);
-      service["cat"] = "service";
-      service["pid"] = kBankPid;
-      service["tid"] = e.bank;
-      service["ts"] = e.cycle;
-      service["dur"] = cfg.bank_cycle;
-      Json args = Json::object();
-      args["port"] = e.port;
-      args["element"] = e.element;
-      service["args"] = std::move(args);
-      events.push_back(std::move(service));
+      Json::Object args = members(2);
+      put(args, "port", e.port);
+      put(args, "element", e.element);
+      Json::Object service = members(8);
+      put(service, "ph", "X");
+      put(service, "name", "port " + std::to_string(e.port + 1));
+      put(service, "cat", "service");
+      put(service, "pid", kBankPid);
+      put(service, "tid", e.bank);
+      put(service, "ts", e.cycle);
+      put(service, "dur", cfg.bank_cycle);
+      put(service, "args", std::move(args));
+      events.emplace_back(std::move(service));
       // ... and a one-period transfer slice on the port track.
-      Json xfer = Json::object();
-      xfer["ph"] = "X";
-      xfer["name"] = "grant";
-      xfer["cat"] = "grant";
-      xfer["pid"] = kPortPid;
-      xfer["tid"] = static_cast<i64>(e.port);
-      xfer["ts"] = e.cycle;
-      xfer["dur"] = 1;
-      Json xargs = Json::object();
-      xargs["bank"] = e.bank;
-      xargs["element"] = e.element;
-      xfer["args"] = std::move(xargs);
-      events.push_back(std::move(xfer));
+      Json::Object xargs = members(2);
+      put(xargs, "bank", e.bank);
+      put(xargs, "element", e.element);
+      Json::Object xfer = members(8);
+      put(xfer, "ph", "X");
+      put(xfer, "name", "grant");
+      put(xfer, "cat", "grant");
+      put(xfer, "pid", kPortPid);
+      put(xfer, "tid", static_cast<i64>(e.port));
+      put(xfer, "ts", e.cycle);
+      put(xfer, "dur", 1);
+      put(xfer, "args", std::move(xargs));
+      events.emplace_back(std::move(xfer));
       return;
     }
     // Conflict instant on the delayed port's track, carrying the full
     // attribution payload.
-    Json instant = Json::object();
-    instant["ph"] = "i";
-    instant["name"] = sim::to_string(e.conflict) + " conflict";
-    instant["cat"] = "conflict";
-    instant["pid"] = kPortPid;
-    instant["tid"] = static_cast<i64>(e.port);
-    instant["ts"] = e.cycle;
-    instant["s"] = "t";  // thread-scoped marker
-    Json args = Json::object();
-    args["kind"] = sim::to_string(e.conflict);
-    args["bank"] = e.bank;
-    args["element"] = e.element;
-    args["blocker"] = e.blocker;
-    instant["args"] = std::move(args);
-    events.push_back(std::move(instant));
+    Json::Object args = members(4);
+    put(args, "kind", sim::to_string(e.conflict));
+    put(args, "bank", e.bank);
+    put(args, "element", e.element);
+    put(args, "blocker", e.blocker);
+    Json::Object instant = members(8);
+    put(instant, "ph", "i");
+    put(instant, "name", sim::to_string(e.conflict) + " conflict");
+    put(instant, "cat", "conflict");
+    put(instant, "pid", kPortPid);
+    put(instant, "tid", static_cast<i64>(e.port));
+    put(instant, "ts", e.cycle);
+    put(instant, "s", "t");  // thread-scoped marker
+    put(instant, "args", std::move(args));
+    events.emplace_back(std::move(instant));
   });
 
   // The live perf trajectory: windowed b_eff as a counter track.
   if (attribution_) {
     for (const BandwidthSample& s : attribution_->bandwidth_series()) {
-      Json counter = Json::object();
-      counter["ph"] = "C";
-      counter["name"] = "b_eff";
-      counter["pid"] = kPortPid;
-      counter["ts"] = s.start;
-      Json args = Json::object();
-      args["grants_per_cycle"] = s.b_eff();
-      counter["args"] = std::move(args);
-      events.push_back(std::move(counter));
+      Json::Object args = members(1);
+      put(args, "grants_per_cycle", s.b_eff());
+      Json::Object counter = members(5);
+      put(counter, "ph", "C");
+      put(counter, "name", "b_eff");
+      put(counter, "pid", kPortPid);
+      put(counter, "ts", s.start);
+      put(counter, "args", std::move(args));
+      events.emplace_back(std::move(counter));
     }
   }
 

@@ -78,7 +78,8 @@ class Json {
   [[nodiscard]] std::size_t size() const noexcept;
 
   /// Serialize.  indent < 0: compact single line; indent >= 0: pretty-
-  /// printed with that many spaces per level.
+  /// printed with that many spaces per level.  Both overloads build the
+  /// text in one std::string; the stream overload then writes it once.
   [[nodiscard]] std::string dump(int indent = -1) const;
   void dump(std::ostream& os, int indent = -1) const;
 
@@ -89,7 +90,9 @@ class Json {
   friend bool operator==(const Json& a, const Json& b) noexcept = default;
 
  private:
-  void write(std::ostream& os, int indent, int depth) const;
+  /// The one writer behind dump() and append_jsonl: appends this value's
+  /// text to `out`, O(bytes) with no per-character stream operation.
+  void append_to(std::string& out, int indent, int depth) const;
 
   std::variant<std::nullptr_t, bool, i64, double, std::string, Array, Object> value_;
 };

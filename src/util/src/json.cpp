@@ -1,11 +1,10 @@
 #include "vpmem/util/json.hpp"
 
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace vpmem {
@@ -16,42 +15,64 @@ namespace {
   throw std::runtime_error{std::string{"Json: value is not "} + expected};
 }
 
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\b': os << "\\b"; break;
-      case '\f': os << "\\f"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c) & 0xffu);
-          os << buf;
-        } else {
-          os << c;
-        }
+/// Escape class of each byte: 0 copies verbatim, 'u' writes \u00XX, any
+/// other value is the letter after the backslash.
+constexpr std::array<char, 256> kEscape = [] {
+  std::array<char, 256> t{};
+  for (std::size_t c = 0; c < 0x20; ++c) t[c] = 'u';
+  t['"'] = '"';
+  t['\\'] = '\\';
+  t['\b'] = 'b';
+  t['\f'] = 'f';
+  t['\n'] = 'n';
+  t['\r'] = 'r';
+  t['\t'] = 't';
+  return t;
+}();
+
+/// Quoted, escaped `s`: runs of bytes that need no escape are copied with
+/// one append each.
+void append_escaped(std::string& out, std::string_view s) {
+  out += '"';
+  const char* run = s.data();
+  const char* const end = run + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const auto c = static_cast<unsigned char>(*p);
+    const char esc = kEscape[c];
+    if (esc == 0) continue;
+    out.append(run, static_cast<std::size_t>(p - run));
+    run = p + 1;
+    if (esc != 'u') {
+      const char pair[2] = {'\\', esc};
+      out.append(pair, 2);
+      continue;
     }
+    const char code[6] = {'\\', 'u', '0', '0', "0123456789abcdef"[c >> 4u],
+                          "0123456789abcdef"[c & 0xfu]};
+    out.append(code, 6);
   }
-  os << '"';
+  out.append(run, static_cast<std::size_t>(end - run));
+  out += '"';
 }
 
-void write_double(std::ostream& os, double d) {
+void append_int(std::string& out, i64 n) {
+  char buf[24];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, n);
+  out.append(buf, static_cast<std::size_t>(ptr - buf));
+}
+
+void append_double(std::string& out, double d) {
   if (!std::isfinite(d)) {  // JSON has no Inf/NaN literal
-    os << "null";
+    out += "null";
     return;
   }
   char buf[32];
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, d);
   if (ec != std::errc{}) type_error("a representable double");
   // Keep integral doubles visibly doubles so a round-trip preserves type.
-  std::string_view text{buf, static_cast<std::size_t>(ptr - buf)};
-  os << text;
-  if (text.find_first_of(".eE") == std::string_view::npos) os << ".0";
+  const std::string_view text{buf, static_cast<std::size_t>(ptr - buf)};
+  out += text;
+  if (text.find_first_of(".eE") == std::string_view::npos) out += ".0";
 }
 
 /// Strict recursive-descent parser over a string_view.
@@ -393,65 +414,70 @@ std::size_t Json::size() const noexcept {
   return 0;
 }
 
-void Json::write(std::ostream& os, int indent, int depth) const {
+void Json::append_to(std::string& out, int indent, int depth) const {
   const auto newline = [&](int level) {
     if (indent < 0) return;
-    os << '\n' << std::string(static_cast<std::size_t>(indent * level), ' ');
+    out += '\n';
+    out.append(static_cast<std::size_t>(indent * level), ' ');
   };
   if (is_null()) {
-    os << "null";
+    out += "null";
   } else if (const bool* b = std::get_if<bool>(&value_)) {
-    os << (*b ? "true" : "false");
+    out += *b ? "true" : "false";
   } else if (const i64* n = std::get_if<i64>(&value_)) {
-    os << *n;
+    append_int(out, *n);
   } else if (const double* d = std::get_if<double>(&value_)) {
-    write_double(os, *d);
+    append_double(out, *d);
   } else if (const std::string* s = std::get_if<std::string>(&value_)) {
-    write_escaped(os, *s);
+    append_escaped(out, *s);
   } else if (const Array* a = std::get_if<Array>(&value_)) {
     if (a->empty()) {
-      os << "[]";
+      out += "[]";
       return;
     }
-    os << '[';
+    out += '[';
     for (std::size_t i = 0; i < a->size(); ++i) {
-      if (i > 0) os << ',';
+      if (i > 0) out += ',';
       newline(depth + 1);
-      (*a)[i].write(os, indent, depth + 1);
+      (*a)[i].append_to(out, indent, depth + 1);
     }
     newline(depth);
-    os << ']';
+    out += ']';
   } else if (const Object* o = std::get_if<Object>(&value_)) {
     if (o->empty()) {
-      os << "{}";
+      out += "{}";
       return;
     }
-    os << '{';
+    out += '{';
     for (std::size_t i = 0; i < o->size(); ++i) {
-      if (i > 0) os << ',';
+      if (i > 0) out += ',';
       newline(depth + 1);
-      write_escaped(os, (*o)[i].first);
-      os << (indent < 0 ? ":" : ": ");
-      (*o)[i].second.write(os, indent, depth + 1);
+      append_escaped(out, (*o)[i].first);
+      out += indent < 0 ? ":" : ": ";
+      (*o)[i].second.append_to(out, indent, depth + 1);
     }
     newline(depth);
-    os << '}';
+    out += '}';
   }
 }
 
 std::string Json::dump(int indent) const {
-  std::ostringstream out;
-  write(out, indent, 0);
-  return out.str();
+  std::string out;
+  append_to(out, indent, 0);
+  return out;
 }
 
-void Json::dump(std::ostream& os, int indent) const { write(os, indent, 0); }
+void Json::dump(std::ostream& os, int indent) const {
+  const std::string text = dump(indent);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+}
 
 Json Json::parse(std::string_view text) { return Parser{text}.run(); }
 
 void append_jsonl(std::ostream& os, const Json& value) {
-  value.dump(os, /*indent=*/-1);
-  os << '\n';
+  std::string line = value.dump();
+  line += '\n';
+  os.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
 }  // namespace vpmem

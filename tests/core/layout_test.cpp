@@ -47,6 +47,9 @@ TEST(RecommendIdim, ResidueAndMinimality) {
   EXPECT_GE(idim, 16 * 1024);
   EXPECT_LT(idim, 16 * 1024 + 16);
   EXPECT_EQ(mod_norm(idim, 16), r.best_spacing);
+  EXPECT_EQ(idim_for(r, 16, 16 * 1024), idim);
+  // Already on the best residue: min_elements itself.
+  EXPECT_EQ(idim_for(r, 16, idim), idim);
 }
 
 TEST(SweepArraySpacing, StrideOneSelfOrganizesFromAnySpacing) {
@@ -71,6 +74,7 @@ TEST(RecommendIdim, SpacingMattersForRestrictedAccessSets) {
 
 TEST(RecommendIdim, Validation) {
   EXPECT_THROW(static_cast<void>(recommend_idim(xmp_like(), 1, 4, 0)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(idim_for(SpacingReport{}, 16, 0)), std::invalid_argument);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -248,6 +249,30 @@ TEST(CliArguments, MalformedNumbersAreRejectedAsConfigInvalid) {
   }
   // Well-formed values still run.
   EXPECT_EQ(run_cli({"fuzz", "20", "--jobs", "2", "--seed", "0x20250807", "--cycles", "64"}), 0);
+}
+
+TEST(CliArguments, PrintedFuzzSeedIsAcceptedBySeed) {
+  // The summary's "seed" fed back to --seed reruns the same campaign: an
+  // integer up to 2^63 - 1, a "0x..." string above (never a wrapped
+  // negative integer).
+  TempDir dir{"seed"};
+  const auto summary = [&](const std::string& seed) {
+    const std::string out = dir.file("fuzz.json");
+    EXPECT_EQ(run_cli({"fuzz", "5", "--cycles", "64", "--seed", seed, "--json", out}), 0) << seed;
+    return Json::parse(slurp(out)).at("summary");
+  };
+  const std::pair<const char*, Json> cases[] = {
+      {"7", Json{7}},
+      {"0x7fffffffffffffff", Json{std::numeric_limits<i64>::max()}},
+      {"0x8000000000000000", Json{"0x8000000000000000"}},
+      {"18446744073709551615", Json{"0xffffffffffffffff"}},
+  };
+  for (const auto& [seed, printed] : cases) {
+    const Json first = summary(seed);
+    EXPECT_EQ(first.at("seed"), printed) << seed;
+    const Json& s = first.at("seed");
+    EXPECT_EQ(summary(s.is_int() ? std::to_string(s.as_int()) : s.as_string()), first) << seed;
+  }
 }
 
 TEST(CliArguments, TypedRunFailuresExitWithTheirCode) {

@@ -1,11 +1,18 @@
 // Tracer: Chrome trace-event export (schema vpmem.trace/1), buffer vs
 // independent-fold reconciliation, and the shared-buffer path into
 // Timeline.
+//
+// golden/chrome_trace.json and golden/chrome_trace_compact.json pin the
+// bytes of write_chrome_trace() and chrome_trace().dump() for one traced
+// run.  To regenerate after an intended output change:
+//   VPMEM_UPDATE_GOLDEN=1 ./obs_tracer_test
+// and say in the change why the bytes moved.
 #include "vpmem/obs/tracer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -218,6 +225,58 @@ TEST(Tracer, SharesBufferWithTimeline) {
   // and stream 2 waits on the active bank ("1<<<<<").
   EXPECT_EQ(grid[0].substr(0, 6), "1<<<<<");
   EXPECT_EQ(timeline.events().size(), static_cast<std::size_t>(tracer.buffer().size()));
+}
+
+// Every conflict kind, sections != banks, a pattern stream and a buffer
+// that evicts: the shapes chrome_trace() formats differently.
+TEST(Tracer, ChromeTraceMatchesGoldenFixture) {
+  const sim::MemoryConfig cfg{.banks = 12, .sections = 4, .bank_cycle = 3};
+  std::vector<sim::StreamConfig> streams = {
+      {.start_bank = 0, .distance = 1, .cpu = 0},
+      {.start_bank = 4, .distance = 2, .cpu = 0},
+      {.start_bank = 0, .distance = 3, .cpu = 1},
+      {.cpu = 1, .bank_pattern = {1, 1, 5, 9, 2}},
+  };
+  sim::MemorySystem mem{cfg, streams};
+  Tracer tracer{mem, TracerOptions{.capacity = 64, .window = 16}};
+  mem.run(120, /*stop_when_finished=*/false);
+  tracer.finish();
+  ASSERT_GT(tracer.buffer().dropped(), 0);
+  const auto stats = mem.all_stats();
+  i64 bank = 0;
+  i64 simultaneous = 0;
+  i64 section = 0;
+  for (const auto& p : stats) {
+    bank += p.bank_conflicts;
+    simultaneous += p.simultaneous_conflicts;
+    section += p.section_conflicts;
+  }
+  ASSERT_GT(bank, 0);
+  ASSERT_GT(simultaneous, 0);
+  ASSERT_GT(section, 0);
+
+  std::ostringstream os;
+  tracer.write_chrome_trace(os);
+  const std::string written = os.str();
+  const std::string compact = tracer.chrome_trace().dump() + "\n";
+  const std::pair<const char*, const std::string*> files[] = {
+      {VPMEM_TRACE_GOLDEN_DIR "/chrome_trace.json", &written},
+      {VPMEM_TRACE_GOLDEN_DIR "/chrome_trace_compact.json", &compact}};
+  if (const char* update = std::getenv("VPMEM_UPDATE_GOLDEN"); update != nullptr) {
+    for (const auto& [path, text] : files) {
+      std::ofstream out{path, std::ios::binary};
+      ASSERT_TRUE(out.is_open()) << path;
+      out << *text;
+    }
+    FAIL() << "golden fixtures rewritten; rerun without VPMEM_UPDATE_GOLDEN to check them";
+  }
+  for (const auto& [path, text] : files) {
+    std::ifstream in{path, std::ios::binary};
+    ASSERT_TRUE(in.is_open()) << path;
+    std::stringstream want;
+    want << in.rdbuf();
+    EXPECT_TRUE(want.str() == *text) << path << " differs from the export";
+  }
 }
 
 }  // namespace

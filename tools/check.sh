@@ -16,7 +16,8 @@
 # sim::drive, the steady-state search's differential and collision suite
 # (fingerprint log, replay confirmation), and the vpmem_cli golden and
 # argv-fuzz suites, which run the sanitized CLI binary on every subcommand
-# and on 2000 drawn command lines.
+# and on 2000 drawn command lines, and the JSON writer, parser and journal
+# suites (the writer copies unescaped runs by pointer arithmetic).
 #
 # The TSan pass rebuilds into build-tsan/ with -fsanitize=thread
 # (VPMEM_SANITIZE_THREAD=ON) and runs `ctest -LE fork`: everything except
@@ -72,7 +73,7 @@ if [[ "$mode" == "--fast" ]]; then
   exit 0
 fi
 
-echo "== sanitizer pass: ASan + UBSan on sim/obs/check tests =="
+echo "== sanitizer pass: ASan + UBSan on sim/obs/check/json tests =="
 cmake -B build-asan -S . -DVPMEM_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$jobs" --target \
   sim_config_test sim_memory_system_test sim_steady_state_test sim_steady_state_search_test \
@@ -81,9 +82,10 @@ cmake --build build-asan -j "$jobs" --target \
   obs_report_test obs_timer_test obs_attribution_test obs_tracer_test \
   check_reference_model_test check_differential_fuzz_test check_replay_test \
   check_fault_plan_fuzz_test check_live_ports_test obs_run_corpus_test \
-  xmp_kernel_grid_test vpmem_cli exec_cli_golden_test exec_cli_argv_fuzz_test
+  xmp_kernel_grid_test vpmem_cli exec_cli_golden_test exec_cli_argv_fuzz_test \
+  util_json_test util_json_writer_test util_journal_test
 ctest --test-dir build-asan --output-on-failure -j "$jobs" -R \
-  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz|check_live_ports|xmp_kernel_grid|exec_cli_golden|exec_cli_argv_fuzz)'
+  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz|check_live_ports|xmp_kernel_grid|exec_cli_golden|exec_cli_argv_fuzz|util_json|util_journal)'
 
 echo "== sanitizer pass: TSan on everything but the fork-labelled suites =="
 cmake -B build-tsan -S . -DVPMEM_SANITIZE_THREAD=ON >/dev/null
